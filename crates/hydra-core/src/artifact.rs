@@ -310,6 +310,20 @@ pub fn put_f64_vec(w: &mut BytesMut, v: &[f64]) {
     }
 }
 
+/// Length-prefixed (u64) UTF-8 string — the one string encoding of the
+/// `hydra-net` frames and the population artifact.
+pub fn put_str(w: &mut BytesMut, s: &str) {
+    w.put_u64_le(s.len() as u64);
+    w.put_slice(s.as_bytes());
+}
+
+/// Decode a [`put_str`] string (bounded length prefix, typed utf-8 error).
+pub fn read_str(r: &mut Reader) -> Result<String, ModelIoError> {
+    let n = r.len_prefix(1)?;
+    let bytes = r.bytes(n)?;
+    String::from_utf8(bytes).map_err(|e| r.corrupt(format!("invalid utf-8 string: {e}")))
+}
+
 fn put_kernel(w: &mut BytesMut, k: Kernel) {
     match k {
         Kernel::Linear => {

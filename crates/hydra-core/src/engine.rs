@@ -39,6 +39,7 @@ use crate::signals::{Signals, UserSignals};
 use crate::snapshot::ProfileSnapshot;
 use hydra_graph::SocialGraph;
 use hydra_vision::{FaceClassifier, FaceDetector};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Errors from serving-layer queries and index mutations.
@@ -307,60 +308,31 @@ impl LinkageEngine {
         self.indexes.iter().map(BlockingIndex::heap_bytes).sum()
     }
 
-    /// Adopt an already-published snapshot epoch that appended one account
-    /// on `platform`, registering the account in this engine's private
-    /// index (active for the owning shard, de-listed elsewhere). Returns
-    /// the account's platform-local index. Infallible by construction —
-    /// the sharded insert path validates once, publishes once, then walks
-    /// every shard through this without a failure point.
-    pub(crate) fn adopt_epoch(
-        &mut self,
-        snapshot: Arc<ProfileSnapshot>,
-        platform: usize,
-        sig: &UserSignals,
-        active: bool,
-    ) -> u32 {
-        debug_assert_eq!(
-            snapshot.platform(platform).len(),
-            self.indexes[platform].len() + 1,
-            "epoch adoption must append exactly one account"
-        );
-        self.snapshot = snapshot;
-        if active {
-            self.indexes[platform].insert_account(sig)
-        } else {
-            self.indexes[platform].insert_account_inactive(sig)
-        }
-    }
-
-    /// [`LinkageEngine::adopt_epoch`] for a whole published batch: adopt
-    /// the epoch that appended `count` accounts at `base` on `platform`,
-    /// registering each in this engine's private index (active where
-    /// `active(idx)` holds — the owning-shard predicate — de-listed
-    /// elsewhere). Infallible by construction, exactly like the
-    /// single-account adoption: the sharded batch insert validates and
-    /// publishes once, then walks every shard through this.
+    /// Adopt an already-published snapshot epoch that appended the accounts
+    /// at `slots` on `platform`, registering each in this engine's private
+    /// index — active where `active(idx)` holds (the owning-shard
+    /// predicate), de-listed elsewhere. Infallible by construction: every
+    /// insert path validates once, publishes once, then walks each engine
+    /// holding the population through this without a failure point.
     pub(crate) fn adopt_epoch_batch(
         &mut self,
         snapshot: Arc<ProfileSnapshot>,
         platform: usize,
-        base: u32,
-        count: usize,
+        slots: Range<u32>,
         active: impl Fn(u32) -> bool,
     ) {
         debug_assert_eq!(
-            snapshot.platform(platform).len(),
-            self.indexes[platform].len() + count,
-            "batch epoch adoption must append exactly the batch"
-        );
-        debug_assert_eq!(
             self.indexes[platform].len(),
-            base as usize,
+            slots.start as usize,
             "batch epoch adoption base drift"
         );
+        debug_assert_eq!(
+            snapshot.platform(platform).len(),
+            slots.end as usize,
+            "batch epoch adoption must append exactly the batch"
+        );
         self.snapshot = snapshot;
-        for j in 0..count {
-            let idx = base + j as u32;
+        for idx in slots {
             let sig = self.snapshot.platform(platform).signal(idx);
             let got = if active(idx) {
                 self.indexes[platform].insert_account(sig)
@@ -422,26 +394,20 @@ impl LinkageEngine {
     /// node: the account participates in blocking and scoring but has no
     /// core network, so Eq. 18 falls back to zero filling for it.
     ///
-    /// The insert is **all-or-nothing**: the whole delta is validated and a
-    /// successor snapshot epoch is published before the candidacy index is
-    /// touched, so an out-of-range neighbor or non-positive weight errors
-    /// without registering the account anywhere. On the single-engine path
-    /// the snapshot handle is unique and publication mutates in place; a
-    /// shared handle (sharded serving) takes the copy-on-insert path — see
-    /// [`crate::snapshot::ProfileSnapshot`].
+    /// A single insert **is** a batch of one — same validation, same
+    /// all-or-nothing contract, one epoch — through
+    /// [`LinkageEngine::insert_batch`]'s path; only the `hydra-fault`
+    /// publication site differs (`snapshot.publish`).
     pub fn insert_account_with_edges(
         &mut self,
         platform: usize,
         sig: UserSignals,
         edges: &[(u32, f64)],
     ) -> Result<u32, EngineError> {
-        let idx = ProfileSnapshot::publish_insert(&mut self.snapshot, platform, sig, edges)?;
-        // The profile was moved into the snapshot; read it back for the
-        // index postings instead of cloning it.
-        let sig = self.snapshot.platform(platform).signal(idx);
-        let index_idx = self.indexes[platform].insert_account(sig);
-        debug_assert_eq!(idx, index_idx, "snapshot/index slot drift");
-        Ok(idx)
+        let batch = vec![(sig, edges.to_vec())];
+        Ok(self
+            .publish_and_adopt(platform, batch, "snapshot.publish")?
+            .start)
     }
 
     /// Register a whole batch of accounts — each with its own Eq. 18 edge
@@ -454,25 +420,38 @@ impl LinkageEngine {
     /// spine clone and the graph-delta merges are amortized across the
     /// batch (`tests/batch_parity.rs` pins both halves of that contract).
     ///
-    /// **All-or-nothing** like the single insert: every account is
-    /// validated before anything is touched, so a bad edge on account `j`
-    /// leaves the engine — snapshot, index, epoch — byte-for-byte as it
-    /// was, with no prefix of the batch registered. An empty batch is a
-    /// no-op at the current epoch.
+    /// **All-or-nothing**: every account is validated and the successor
+    /// epoch published before the candidacy index is touched, so a bad
+    /// edge on account `j` leaves the engine — snapshot, index, epoch —
+    /// byte-for-byte as it was, with no prefix of the batch registered. An
+    /// empty batch is a no-op at the current epoch. On the single-engine
+    /// path the snapshot handle is unique and publication mutates in
+    /// place; a shared handle (sharded serving) takes the copy-on-insert
+    /// path — see [`crate::snapshot::ProfileSnapshot`].
     pub fn insert_batch(
         &mut self,
         platform: usize,
         batch: Vec<(UserSignals, Vec<(u32, f64)>)>,
     ) -> Result<Vec<u32>, EngineError> {
-        let count = batch.len();
-        let base = ProfileSnapshot::publish_insert_batch(&mut self.snapshot, platform, batch)?;
-        for j in 0..count {
-            let idx = base + j as u32;
-            let sig = self.snapshot.platform(platform).signal(idx);
-            let got = self.indexes[platform].insert_account(sig);
-            debug_assert_eq!(idx, got, "snapshot/index slot drift");
-        }
-        Ok((0..count).map(|j| base + j as u32).collect())
+        Ok(self
+            .publish_and_adopt(platform, batch, "snapshot.publish_batch")?
+            .collect())
+    }
+
+    /// The one insert path: publish `batch` as one epoch (publication gate
+    /// `site`), then register every new slot active in the index.
+    fn publish_and_adopt(
+        &mut self,
+        platform: usize,
+        batch: Vec<(UserSignals, Vec<(u32, f64)>)>,
+        site: &'static str,
+    ) -> Result<Range<u32>, EngineError> {
+        let slots =
+            ProfileSnapshot::publish_insert_batch(&mut self.snapshot, platform, batch, site)?;
+        // The profiles were moved into the snapshot; adoption reads them
+        // back for the index postings instead of cloning them.
+        self.adopt_epoch_batch(self.snapshot.clone(), platform, slots.clone(), |_| true);
+        Ok(slots)
     }
 
     /// De-list an account: it stops appearing as a candidate (right side)
@@ -512,13 +491,6 @@ impl LinkageEngine {
                 task,
                 num_tasks: self.model.tasks.len(),
             })
-    }
-
-    /// Whether `account` exists on `platform` and has not been removed.
-    pub(crate) fn is_account_active(&self, platform: usize, account: u32) -> bool {
-        self.indexes
-            .get(platform)
-            .is_some_and(|i| i.is_active(account))
     }
 
     fn check_left(&self, spec: TaskSpec, left_account: u32) -> Result<(), EngineError> {

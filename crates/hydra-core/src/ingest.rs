@@ -413,7 +413,7 @@ impl SignalExtractor {
         // Vocabulary: words in id order + id-aligned frequencies.
         w.put_u64_le(self.vocab.len() as u64);
         for id in 0..self.vocab.len() as u32 {
-            put_str(&mut w, self.vocab.word(id));
+            put_str32(&mut w, self.vocab.word(id));
             w.put_u64_le(self.vocab.term_frequency(id));
             w.put_u64_le(self.vocab.doc_frequency(id));
         }
@@ -438,7 +438,7 @@ impl SignalExtractor {
         let entries = self.lexicon.entries_sorted();
         w.put_u64_le(entries.len() as u64);
         for (word, weights) in entries {
-            put_str(&mut w, word);
+            put_str32(&mut w, word);
             for &v in weights.iter() {
                 w.put_f64_le(v);
             }
@@ -486,7 +486,7 @@ impl SignalExtractor {
         let mut doc_freq = Vec::with_capacity(num_words);
         let mut seen = std::collections::HashSet::with_capacity(num_words);
         for _ in 0..num_words {
-            let word = read_str(&mut r)?;
+            let word = read_str32(&mut r)?;
             if !seen.insert(word.clone()) {
                 return Err(r.corrupt(format!("duplicate word {word:?}")));
             }
@@ -539,7 +539,7 @@ impl SignalExtractor {
         let num_entries = r.len_prefix(36)?;
         let mut entries = Vec::with_capacity(num_entries);
         for _ in 0..num_entries {
-            let word = read_str(&mut r)?;
+            let word = read_str32(&mut r)?;
             let mut weights = [0.0f64; NUM_SENTIMENTS];
             for v in weights.iter_mut() {
                 *v = r.f64()?;
@@ -720,12 +720,15 @@ impl ServingArtifact {
     }
 }
 
-fn put_str(w: &mut BytesMut, s: &str) {
+/// `HYSX` vocabulary words carry a u32 length prefix — a different wire
+/// primitive from [`crate::artifact::put_str`] (u64), kept because the
+/// artifact bytes are frozen.
+fn put_str32(w: &mut BytesMut, s: &str) {
     w.put_u32_le(s.len() as u32);
     w.put_slice(s.as_bytes());
 }
 
-fn read_str(r: &mut Reader) -> Result<String, ModelIoError> {
+fn read_str32(r: &mut Reader) -> Result<String, ModelIoError> {
     let len = r.u32()? as usize;
     let at = r.offset();
     let bytes = r.bytes(len)?;

@@ -105,10 +105,9 @@
 //!
 //! ## Scaling out across processes
 //!
-//! Two modules share the word "distributed" and do different jobs:
-//! [`distributed`] scales **training** (consensus ADMM over label shards,
-//! in-process), while the separate `hydra-net` crate scales **serving** —
-//! it promotes [`shard::ShardedEngine`]'s partitions to one OS process
+//! Fit-time scale-out (Section 6.3) is the matrix-free Eq. 15 solve plus
+//! `hydra-par`; serve-time scale-out is the separate `hydra-net` crate,
+//! which promotes [`shard::ShardedEngine`]'s partitions to one OS process
 //! each (`hydra-shardd`, cold-started from a [`ingest::ServingArtifact`]
 //! plus a population artifact) behind a length-prefixed wire protocol,
 //! with a coordinator that scatter-gathers to the same bits as the
@@ -120,7 +119,6 @@
 #[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod artifact;
 pub mod candidates;
-pub mod distributed;
 #[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod engine;
 pub mod features;
@@ -140,7 +138,6 @@ pub mod structure;
 
 pub use artifact::{LinkageModel, ModelIoError, TaskSpec};
 pub use candidates::{generate_candidates, BlockingIndex, CandidateConfig, CandidatePair};
-pub use distributed::{fit_distributed, DistributedConfig, LinearDecisionModel};
 pub use engine::{EngineError, LinkageEngine};
 pub use features::{AttributeImportance, FeatureConfig, PairFeatures};
 pub use ingest::{RawAccount, ServingArtifact, SignalExtractor};

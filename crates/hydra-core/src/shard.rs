@@ -1,58 +1,72 @@
-//! Sharded serving: [`ShardedEngine`] partitions the candidate population
-//! over N per-shard [`LinkageEngine`] indexes — all reading **one**
-//! `Arc`-shared [`ProfileSnapshot`] — and fans queries out over
-//! `hydra-par` workers.
+//! Partitioned serving: **one partition core, held-shard subset**.
 //!
 //! The paper's deployment regime (10M-user testbed, Sections 6.3 / 7.5) and
 //! the "search-and-resolve" pattern both assume a query fans out over a
-//! partitioned population. The sharded engine keeps that contract honest
-//! with one invariant: **byte identity with the single-engine path** at
-//! every shard count × `HYDRA_THREADS` combination
-//! (`tests/ingest_parity.rs` pins shards {1, 2, 4} × threads {1, 4}).
+//! partitioned population. HYDRA's decision function is per-pair, so
+//! *where* a pair is scored cannot change an answer — which lets every
+//! deployment shape run the same state machine:
+//!
+//! * the private `Partition` core owns the [`ProfileSnapshot`] handle,
+//!   the population-wide statistics, the engines of the shards this
+//!   process **holds**, and the only implementation of build, insert,
+//!   remove, left-side validation, partition scan, and shard rebuild;
+//! * [`ShardedEngine`] is that core holding **all N** shards, plus what
+//!   only an in-process fan-out needs: poison flags, [`HealthCounters`],
+//!   the `hydra-par` scatter, deterministic merge, and artifact hot-swap;
+//! * [`ShardReplica`] is the same core holding **one** shard — the state a
+//!   shard *process* owns behind `hydra-net`'s wire protocol.
+//!
+//! N replicas fed the same mutation sequence therefore hold states whose
+//! contributions merge ([`merge_scored_candidates`]) into answers
+//! bitwise-identical to the in-process engine, which is itself
+//! byte-identical to the single-engine path at every shard count ×
+//! `HYDRA_THREADS` (`tests/ingest_parity.rs`, `tests/sharded_errors.rs`,
+//! `hydra-net`'s `process_parity.rs`) — by construction, not by parallel
+//! re-implementation.
 //!
 //! ## How the partition works
 //!
 //! * **Routing** — account `a` is owned by shard
-//!   [`routing::owner`]`(a, N) = a mod N` (dense platform-local ids make
-//!   the modulus a perfect hash); the mapping lives in the shared,
-//!   test-pinned [`crate::routing`] module so the in-process engine, the
-//!   per-process replicas, the net coordinator, and the population slicer
-//!   can never drift. [`ShardedEngine::insert_account`] /
-//!   [`ShardedEngine::remove_account`] route to the owning shard's
-//!   blocking index.
-//! * **Partitioned candidacy, one shared profile snapshot** — each shard
-//!   privately owns only its partition's blocking postings and active-set
-//!   bookkeeping; the per-platform profile store (signals, bucket caches,
-//!   social-graph snapshot) is a single immutable [`ProfileSnapshot`] the
-//!   engine hands to every shard by reference-counted handle, because
-//!   Eq. 18 core-network filling reaches into arbitrary friends' profiles
-//!   on both sides of a pair. N shards therefore cost **1×** profile
-//!   memory plus O(index) per shard (PR 4 replicated the store, N×). A
-//!   de-listed partition is exactly the engine's `remove_account`
-//!   semantics: profiles keep contributing to Eq. 18, candidacy ends.
-//!   The snapshot is also the seam for cross-box sharding (the ROADMAP
-//!   follow-up): it is the thing a profile service would serve.
-//! * **Atomic ingest, epoch by epoch** —
-//!   [`ShardedEngine::insert_account_with_edges`] validates everything up
-//!   front, publishes ONE successor snapshot epoch (copy-on-insert: the
-//!   frozen base column and every earlier tail entry are shared by
-//!   pointer, the graph absorbs the delta), then walks every shard
-//!   through an infallible adopt step and updates the global statistics
-//!   last. A failing insert touches nothing — no shard, no stats — so the
-//!   partition can never diverge from the single-engine path
-//!   (`tests/ingest_parity.rs` pins the failed-insert identity).
-//! * **Global stop-gram statistics** — suppression of uninformative grams
-//!   depends on the population-wide posting count; each probe hands the
-//!   shard index the global [`GramLimits`], so a shard suppresses exactly
-//!   the grams one full index would.
+//!   [`routing::owner`]`(a, N) = a mod N`; the mapping lives in the
+//!   shared, test-pinned [`crate::routing`] module so the core, the net
+//!   coordinator, and the population slicer can never drift.
+//! * **Partitioned candidacy, one profile snapshot** — a shard privately
+//!   owns only its partition's blocking postings and active-set
+//!   bookkeeping; the per-platform profile store is a single immutable
+//!   [`ProfileSnapshot`] every held shard reads by reference-counted
+//!   handle, because Eq. 18 core-network filling reaches into arbitrary
+//!   friends' profiles on both sides of a pair. An in-process engine pays
+//!   for profiles and statistics **once per engine** (1× memory plus
+//!   O(index) per shard); a replica pays once per process — the
+//!   deliberate cost of leaving the one-box memory ceiling behind.
+//!   Accounts owned elsewhere are registered de-listed: exactly
+//!   `remove_account` semantics — profiles keep contributing to Eq. 18,
+//!   candidacy ends.
+//! * **Atomic ingest, epoch by epoch** — a single insert is a batch of
+//!   one. The core validates the whole batch, publishes ONE successor
+//!   epoch (copy-on-insert), walks every held shard through an infallible
+//!   adopt step, and updates the global statistics last. A failing insert
+//!   touches nothing — no shard, no stats — so a partition can never
+//!   diverge from the single-engine path. The two `hydra-fault` sites an
+//!   insert crosses are named by the public entry point
+//!   (`sharded.insert` / `sharded.insert_batch` / `replica.insert` /
+//!   `replica.insert_batch`, then `snapshot.publish` /
+//!   `snapshot.publish_batch`), so in-process sweeps cannot cross-fire
+//!   into thread-local server replicas.
+//! * **Global bookkeeping everywhere** — every core tracks every account's
+//!   username, gram counts, and removal, whichever shards it holds:
+//!   each probe hands the shard index the global [`GramLimits`] (a shard
+//!   suppresses exactly the stop-grams one full index would), and
+//!   left-side validation and removal errors are decided against the
+//!   global population, identically on every holder. Only the blocking
+//!   index of the owning shard is touched by a removal.
 //! * **Deterministic merge** — per-shard candidates are merged, re-ranked
 //!   by the engine's exact ordering (username similarity descending, right
 //!   index ascending — a total order), and truncated to the global
-//!   `max_per_user` cap; the merged list is then scored once (per-pair
-//!   scores never depend on which other candidates ride along), and
-//!   predictions come back ranked by (score descending, right ascending).
-//!   Every step is order-preserving, so results are identical at any worker
-//!   count.
+//!   `max_per_user` cap; per-pair scores never depend on which other
+//!   candidates ride along, and predictions come back ranked by (score
+//!   descending, right ascending). Every step is order-preserving, so
+//!   results are identical at any worker count.
 
 use crate::artifact::{LinkageModel, TaskSpec};
 use crate::candidates::{gram_keys, CandidatePair, GramLimits};
@@ -63,6 +77,7 @@ use crate::signals::{Signals, UserSignals};
 use crate::snapshot::ProfileSnapshot;
 use hydra_graph::SocialGraph;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,9 +95,9 @@ struct PlatformStats {
     /// Username per slot (removal must decrement exactly the grams the
     /// account was counted under).
     usernames: Vec<String>,
-    /// Accounts de-listed via [`ShardedEngine::remove_account`] — the
-    /// replay log a quarantined shard's rebuild needs to restore its
-    /// partition's active set exactly.
+    /// Accounts de-listed so far — what left-side validation consults, and
+    /// the replay log a shard rebuild needs to restore its partition's
+    /// active set exactly.
     removed: BTreeSet<u32>,
 }
 
@@ -373,16 +388,267 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Serves per-account linkage queries against a population whose candidacy
-/// is partitioned over N per-shard [`LinkageEngine`] indexes, all reading
-/// one `Arc`-shared [`ProfileSnapshot`] (see the module docs).
-pub struct ShardedEngine {
-    /// The engine's handle to the current profile-snapshot epoch; every
-    /// shard holds a pointer-equal clone.
+impl RetryPolicy {
+    /// Spend one retry from this schedule after a failed attempt: sleep
+    /// the backoff owed, then shrink `self` to the schedule that remains —
+    /// one attempt fewer, backoff doubled toward the cap. Returns `false`,
+    /// without sleeping, once the failed attempt was the last one allowed.
+    /// A clone of the configured policy is therefore the cursor of one
+    /// retried operation, and a half-spent cursor can be carried across
+    /// phases (the coordinator's pipelined scatter does) without losing
+    /// its place.
+    pub fn back_off(&mut self) -> bool {
+        if self.max_attempts <= 1 {
+            return false;
+        }
+        self.max_attempts -= 1;
+        let backoff = self.initial_backoff;
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff.min(self.max_backoff));
+        }
+        self.initial_backoff = (backoff * 2).min(self.max_backoff);
+        true
+    }
+}
+
+/// The per-platform username columns of a signal store — the global
+/// blocking vocabulary of an unsliced population.
+fn username_columns(signals: &Signals) -> Vec<Vec<String>> {
+    signals
+        .per_platform
+        .iter()
+        .map(|side| side.iter().map(|sig| sig.username.clone()).collect())
+        .collect()
+}
+
+/// The partition state machine (see the module docs): everything about a
+/// partitioned population that does not depend on *which* shards this
+/// process holds, plus the engines of the ones it does.
+struct Partition {
+    /// The current profile-snapshot epoch; every held engine holds a
+    /// pointer-equal clone.
     snapshot: Arc<ProfileSnapshot>,
-    shards: Vec<LinkageEngine>,
-    num_shards: usize,
+    /// Population-wide statistics, one per platform — global whichever
+    /// shards are held.
     platforms: Vec<PlatformStats>,
+    num_shards: usize,
+    /// Shard id of `engines[0]`: the held shards are the contiguous range
+    /// `first .. first + engines.len()` (all of `0..N` in a
+    /// [`ShardedEngine`], one in a [`ShardReplica`]).
+    first: usize,
+    engines: Vec<LinkageEngine>,
+}
+
+impl Partition {
+    /// Build the core holding shards `held` of an `num_shards`-way
+    /// partition. `usernames[p]` lists **every** account on platform `p`,
+    /// even where the signal store holds a placeholder (a sliced
+    /// population drops profiles, never usernames), so the global
+    /// stop-gram statistics, active counts, and left-side validation come
+    /// out bitwise those of the full population; `usernames[p].len()` must
+    /// equal `signals.per_platform[p].len()`. An empty or out-of-range
+    /// `held` is [`EngineError::InvalidShardCount`].
+    fn build(
+        model: LinkageModel,
+        signals: &Signals,
+        graphs: Vec<SocialGraph>,
+        usernames: Vec<Vec<String>>,
+        held: Range<usize>,
+        num_shards: usize,
+    ) -> Result<Self, EngineError> {
+        if held.is_empty() || held.end > num_shards {
+            return Err(EngineError::InvalidShardCount);
+        }
+        let snapshot = Arc::new(ProfileSnapshot::build(&model.extractor(), signals, graphs)?);
+        let platforms = usernames
+            .into_iter()
+            .map(|column| {
+                let mut stats = PlatformStats {
+                    gram_counts: HashMap::new(),
+                    active_count: column.len(),
+                    total: column.len(),
+                    usernames: Vec::new(),
+                    removed: BTreeSet::new(),
+                };
+                for username in &column {
+                    stats.count_grams(username, 1);
+                }
+                stats.usernames = column;
+                stats
+            })
+            .collect();
+        let mut core = Partition {
+            snapshot,
+            platforms,
+            num_shards,
+            first: held.start,
+            engines: Vec::with_capacity(held.len()),
+        };
+        for s in held {
+            let engine = core.fresh_engine(&model, s)?;
+            core.engines.push(engine);
+        }
+        Ok(core)
+    }
+
+    /// A fresh engine for shard `s` over the current epoch — the profile
+    /// store by handle, postings only for the accounts `s` owns (the rest
+    /// registered de-listed) — with the removal log replayed so the
+    /// partition's active set is exact. Build and rebuild are this one
+    /// step (the log is empty at build), which is what makes a rebuilt
+    /// shard answer bitwise like one that never faulted.
+    fn fresh_engine(&self, model: &LinkageModel, s: usize) -> Result<LinkageEngine, EngineError> {
+        let n = self.num_shards;
+        let mut fresh =
+            LinkageEngine::with_shared_snapshot(model.clone(), self.snapshot.clone(), |_, a| {
+                routing::owns(s, n, a)
+            })?;
+        for (platform, stats) in self.platforms.iter().enumerate() {
+            for &a in stats.removed.iter().filter(|&&a| routing::owns(s, n, a)) {
+                fresh.remove_account(platform, a)?;
+            }
+        }
+        Ok(fresh)
+    }
+
+    /// Rebuild held engine `i` deterministically from the snapshot and the
+    /// removal log.
+    fn rebuild(&mut self, i: usize) -> Result<(), EngineError> {
+        self.engines[i] = self.fresh_engine(self.engines[i].model(), self.first + i)?;
+        Ok(())
+    }
+
+    fn model(&self) -> &LinkageModel {
+        self.engines[0].model()
+    }
+
+    fn num_accounts(&self, platform: usize) -> usize {
+        self.platforms.get(platform).map_or(0, |p| p.total)
+    }
+
+    fn active_accounts(&self, platform: usize) -> usize {
+        self.platforms.get(platform).map_or(0, |p| p.active_count)
+    }
+
+    /// Register a batch under **one** published epoch, returning the new
+    /// slots. `entry_site` fires before anything is touched and
+    /// `publish_site` is the snapshot's publication gate — both fallible
+    /// steps precede any mutation of a shard or the statistics, and
+    /// everything after them is infallible, so a failure on account `j`
+    /// leaves every holder byte-for-byte as it was with no prefix of the
+    /// batch registered (`tests/fault_sweeps.rs`, `tests/sharded_errors.rs`).
+    fn insert_batch(
+        &mut self,
+        platform: usize,
+        batch: Vec<(UserSignals, Vec<(u32, f64)>)>,
+        entry_site: &'static str,
+        publish_site: &'static str,
+    ) -> Result<Range<u32>, EngineError> {
+        // 0. A transient fault here (a flaky feed, in production terms)
+        //    must be a clean no-op.
+        inject_point(entry_site)?;
+
+        // 1. Fallible: validate every delta, publish the epoch (profiles
+        //    move into the snapshot tail, no deep copy).
+        let slots = ProfileSnapshot::publish_insert_batch(
+            &mut self.snapshot,
+            platform,
+            batch,
+            publish_site,
+        )?;
+
+        // 2. Infallible: hand the epoch to every held shard; each
+        //    account's owner registers it active, the rest de-listed.
+        let (first, n) = (self.first, self.num_shards);
+        for (i, engine) in self.engines.iter_mut().enumerate() {
+            engine.adopt_epoch_batch(self.snapshot.clone(), platform, slots.clone(), |idx| {
+                routing::owns(first + i, n, idx)
+            });
+        }
+
+        // 3. Global statistics last, after every shard holds the epoch.
+        let stats = &mut self.platforms[platform];
+        debug_assert_eq!(stats.total as u32, slots.start, "stats slot drift");
+        let profiles = self.snapshot.platform(platform);
+        for idx in slots.clone() {
+            let username = &profiles.signal(idx).username;
+            stats.count_grams(username, 1);
+            stats.usernames.push(username.clone());
+        }
+        stats.active_count += slots.len();
+        stats.total += slots.len();
+        Ok(slots)
+    }
+
+    /// De-list an account globally: validated against the population-wide
+    /// statistics (so every holder returns the same error), applied to the
+    /// owning shard's blocking index when this core holds it, and recorded
+    /// in the statistics last — a failing removal changes nothing. The
+    /// profile stays in the Eq. 18 snapshot, exactly like
+    /// [`LinkageEngine::remove_account`].
+    fn remove(&mut self, platform: usize, account: u32) -> Result<(), EngineError> {
+        let num_platforms = self.platforms.len();
+        let Some(stats) = self.platforms.get(platform) else {
+            return Err(EngineError::PlatformOutOfRange {
+                platform,
+                num_platforms,
+            });
+        };
+        if (account as usize) >= stats.total {
+            return Err(EngineError::AccountOutOfRange { platform, account });
+        }
+        if stats.removed.contains(&account) {
+            return Err(EngineError::AccountRemoved { platform, account });
+        }
+        let owner = routing::owner(account, self.num_shards);
+        if let Some(engine) = owner
+            .checked_sub(self.first)
+            .and_then(|i| self.engines.get_mut(i))
+        {
+            engine.remove_account(platform, account)?;
+        }
+        let stats = &mut self.platforms[platform];
+        let username = stats.usernames[account as usize].clone();
+        stats.count_grams(&username, -1);
+        stats.active_count -= 1;
+        stats.removed.insert(account);
+        Ok(())
+    }
+
+    /// Validate queries without doing any work: the task index, then every
+    /// left account against the *global* population. Batches are refused
+    /// whole, before any scoring starts.
+    fn validate(&self, task: usize, lefts: &[u32]) -> Result<TaskSpec, EngineError> {
+        let spec = self.engines[0].task_spec(task)?;
+        let platform = spec.left_platform as usize;
+        let stats = &self.platforms[platform];
+        for &account in lefts {
+            if (account as usize) >= stats.total {
+                return Err(EngineError::AccountOutOfRange { platform, account });
+            }
+            if stats.removed.contains(&account) {
+                return Err(EngineError::AccountRemoved { platform, account });
+            }
+        }
+        Ok(spec)
+    }
+
+    /// Held engine `i`'s partition scan for one left account, suppressing
+    /// stop-grams by the **global** statistics.
+    fn scan(&self, i: usize, spec: TaskSpec, left_account: u32) -> Vec<CandidatePair> {
+        let stats = &self.platforms[spec.right_platform as usize];
+        let limits = GramLimits {
+            counts: &stats.gram_counts,
+            active_count: stats.active_count,
+        };
+        self.engines[i].candidates_for(spec, left_account, Some(&limits))
+    }
+}
+
+/// The partition core holding **all N** shards in one process (see the
+/// module docs), fanning queries out over `hydra-par` workers.
+pub struct ShardedEngine {
+    core: Partition,
     /// Quarantine flags, one per shard (atomic so the panic-isolated query
     /// path can mark a shard poisoned through `&self`). A poisoned shard is
     /// skipped by [`ShardedEngine::query_outcome`] until
@@ -394,64 +660,21 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// The owning shard of an account — [`routing::owner`], the one
-    /// mapping every sharded layer (in-process, per-process, slicer)
-    /// shares.
-    #[inline]
-    fn owner(&self, account: u32) -> usize {
-        routing::owner(account, self.num_shards)
-    }
-
     /// Build a sharded engine over `num_shards` partitions — same inputs as
     /// [`LinkageEngine::new`] plus the shard count. A one-shard engine is
-    /// exactly the single-engine path. The profile store (signals, bucket
-    /// caches, Eq. 18 graphs) is built **once** and shared: each shard
-    /// receives a handle, not a replica, and registers accounts owned by
-    /// other shards de-listed (Eq. 18 still sees them, no candidacy
-    /// postings).
+    /// exactly the single-engine path. The profile store is built **once**
+    /// and shared: each shard receives a handle, not a replica.
     pub fn new(
         model: LinkageModel,
         signals: &Signals,
         graphs: Vec<SocialGraph>,
         num_shards: usize,
     ) -> Result<Self, EngineError> {
-        if num_shards == 0 {
-            return Err(EngineError::InvalidShardCount);
-        }
-        let extractor = model.extractor();
-        let snapshot = Arc::new(ProfileSnapshot::build(&extractor, signals, graphs)?);
-        let mut shards = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            shards.push(LinkageEngine::with_shared_snapshot(
-                model.clone(),
-                snapshot.clone(),
-                |_, a| routing::owns(s, num_shards, a),
-            )?);
-        }
-        let platforms = signals
-            .per_platform
-            .iter()
-            .map(|side| {
-                let mut stats = PlatformStats {
-                    gram_counts: HashMap::new(),
-                    active_count: side.len(),
-                    total: side.len(),
-                    usernames: side.iter().map(|sig| sig.username.clone()).collect(),
-                    removed: BTreeSet::new(),
-                };
-                for sig in side {
-                    stats.count_grams(&sig.username, 1);
-                }
-                stats
-            })
-            .collect();
-        let poisoned = (0..num_shards).map(|_| AtomicBool::new(false)).collect();
+        let usernames = username_columns(signals);
+        let core = Partition::build(model, signals, graphs, usernames, 0..num_shards, num_shards)?;
         Ok(ShardedEngine {
-            snapshot,
-            shards,
-            num_shards,
-            platforms,
-            poisoned,
+            core,
+            poisoned: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
             health: HealthCounters::new("serve", num_shards),
         })
     }
@@ -461,7 +684,7 @@ impl ShardedEngine {
     /// handles for every shard — the store exists once, whatever the shard
     /// count.
     pub fn snapshot(&self) -> &Arc<ProfileSnapshot> {
-        &self.snapshot
+        &self.core.snapshot
     }
 
     /// Shard `s`'s handle to the profile snapshot (pointer-equal to
@@ -470,14 +693,13 @@ impl ShardedEngine {
     /// # Panics
     /// Panics when `s >= num_shards`.
     pub fn shard_snapshot(&self, s: usize) -> &Arc<ProfileSnapshot> {
-        self.shards[s].snapshot()
+        self.core.engines[s].snapshot()
     }
 
     /// Approximate heap size of the **shared** profile store (1× across
-    /// every shard) — the memory term PR 4's replicated stores multiplied
-    /// by N.
+    /// every shard).
     pub fn snapshot_bytes(&self) -> usize {
-        self.snapshot.heap_bytes()
+        self.core.snapshot.heap_bytes()
     }
 
     /// Approximate heap size of all per-shard **private** state (blocking
@@ -486,11 +708,13 @@ impl ShardedEngine {
     /// snapshot.
     pub fn index_bytes(&self) -> usize {
         let shards: usize = self
-            .shards
+            .core
+            .engines
             .iter()
             .map(LinkageEngine::index_heap_bytes)
             .sum();
         let stats: usize = self
+            .core
             .platforms
             .iter()
             .map(|p| {
@@ -504,7 +728,7 @@ impl ShardedEngine {
 
     /// The wrapped model.
     pub fn model(&self) -> &LinkageModel {
-        self.shards[0].model()
+        self.core.model()
     }
 
     /// Engine-lifetime health accumulators: degraded queries, per-shard
@@ -515,22 +739,22 @@ impl ShardedEngine {
 
     /// Number of shards the population is partitioned over.
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.core.num_shards
     }
 
     /// Number of platform-pair tasks the engine serves.
     pub fn num_tasks(&self) -> usize {
-        self.shards[0].num_tasks()
+        self.core.engines[0].num_tasks()
     }
 
     /// Number of account slots on a platform (including removed accounts).
     pub fn num_accounts(&self, platform: usize) -> usize {
-        self.platforms.get(platform).map_or(0, |p| p.total)
+        self.core.num_accounts(platform)
     }
 
     /// Number of active (non-removed) accounts on a platform.
     pub fn active_accounts(&self, platform: usize) -> usize {
-        self.platforms.get(platform).map_or(0, |p| p.active_count)
+        self.core.active_accounts(platform)
     }
 
     /// Register a new account with no social interactions —
@@ -544,182 +768,80 @@ impl ShardedEngine {
     }
 
     /// Register a new account under the next free platform-local index
-    /// (returned), publishing **one** successor snapshot epoch that every
-    /// shard adopts: the account's profile and its Eq. 18 interaction
-    /// delta enter the shared store exactly once, and the account becomes
-    /// active for candidacy on its owning shard only. Subsequent queries
-    /// are byte-identical to a single engine (or a freshly built sharded
-    /// engine) holding the grown population.
-    ///
-    /// The insert is **all-or-nothing**: validation and epoch publication
-    /// happen before any shard or the global gram statistics are touched,
-    /// and everything after the fallible step is infallible — a failing
-    /// insert (out-of-range platform or neighbor, non-positive weight)
-    /// leaves every shard, the snapshot, and the statistics byte-for-byte
-    /// as they were, so the partition can never diverge from the
-    /// single-engine path (regression-pinned in `tests/ingest_parity.rs`).
+    /// (returned) — [`ShardedEngine::insert_batch_with_edges`] with a batch
+    /// of one (fault sites `sharded.insert`, `snapshot.publish`). The
+    /// account's profile and Eq. 18 interaction delta enter the shared
+    /// store exactly once, under one new epoch, and the account becomes
+    /// active for candidacy on its owning shard only; subsequent queries
+    /// are byte-identical to a single engine holding the grown population.
     pub fn insert_account_with_edges(
         &mut self,
         platform: usize,
         sig: UserSignals,
         edges: &[(u32, f64)],
     ) -> Result<u32, EngineError> {
-        // 0. Injection point before anything is touched: a transient fault
-        //    here (a flaky feed, in production terms) must be a clean no-op.
-        inject_point("sharded.insert")?;
-
-        // 1. Fallible step: validate platform + delta, publish the epoch
-        //    (the profile moves into the snapshot tail, no deep copy). On
-        //    error nothing — snapshot, shards, stats — has changed.
-        let global = ProfileSnapshot::publish_insert(&mut self.snapshot, platform, sig, edges)?;
-        let sig = self.snapshot.platform(platform).signal(global);
-
-        // 2. Infallible: hand the new epoch to every shard; the owner
-        //    registers the account active, the rest de-listed.
-        let owner = self.owner(global);
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let idx = shard.adopt_epoch(self.snapshot.clone(), platform, sig, s == owner);
-            debug_assert_eq!(idx, global, "shard slot drift");
-        }
-
-        // 3. Global statistics last, after every shard holds the epoch.
-        let stats = &mut self.platforms[platform];
-        debug_assert_eq!(stats.total as u32, global, "stats slot drift");
-        stats.count_grams(&sig.username, 1);
-        stats.usernames.push(sig.username.clone());
-        stats.active_count += 1;
-        stats.total += 1;
-        Ok(global)
+        let batch = vec![(sig, edges.to_vec())];
+        let slots =
+            self.core
+                .insert_batch(platform, batch, "sharded.insert", "snapshot.publish")?;
+        Ok(slots.start)
     }
 
     /// Register a whole batch of accounts under **one** published snapshot
-    /// epoch — [`LinkageEngine::insert_batch`] lifted to the partition.
+    /// epoch — [`LinkageEngine::insert_batch`] lifted to the partition
+    /// (fault sites `sharded.insert_batch`, `snapshot.publish_batch`).
     /// Account `j` lands at `base + j` (the returned vec, in batch order)
     /// and becomes active for candidacy on its owning shard only; its edge
     /// delta may reference any earlier account, batch members included.
     /// Post-state — counts, query answers, graph effects — is
-    /// bitwise-identical to k calls of
-    /// [`ShardedEngine::insert_account_with_edges`], but the epoch counter
-    /// advances once and every shard adopts one successor snapshot instead
-    /// of k (copy-on-insert publication amortized across the batch).
-    ///
-    /// **All-or-nothing** like the single insert: the whole batch is
-    /// validated up front and both fallible steps (the
-    /// `sharded.insert_batch` injection point and the
-    /// `snapshot.publish_batch` publication gate) fire before any shard or
-    /// the global statistics are touched — a failure on account `j` leaves
-    /// every shard, the snapshot, and the statistics byte-for-byte as they
-    /// were, with no prefix of the batch registered (regression-pinned in
-    /// `tests/fault_sweeps.rs` and `tests/sharded_errors.rs`).
+    /// bitwise-identical to k single inserts, but the epoch counter
+    /// advances once. **All-or-nothing**; an empty batch is a no-op at the
+    /// current epoch.
     pub fn insert_batch_with_edges(
         &mut self,
         platform: usize,
         batch: Vec<(UserSignals, Vec<(u32, f64)>)>,
     ) -> Result<Vec<u32>, EngineError> {
-        // 0. Injection point before anything is touched — the batch
-        //    analogue of "sharded.insert".
-        inject_point("sharded.insert_batch")?;
-
-        // 1. Fallible step: validate every account's delta, publish ONE
-        //    epoch holding the whole batch. On error nothing has changed.
-        let count = batch.len();
-        let base = ProfileSnapshot::publish_insert_batch(&mut self.snapshot, platform, batch)?;
-
-        // 2. Infallible: hand the new epoch to every shard; each account's
-        //    owner registers it active, the rest de-listed.
-        let num_shards = self.num_shards;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.adopt_epoch_batch(self.snapshot.clone(), platform, base, count, |idx| {
-                routing::owns(s, num_shards, idx)
-            });
-        }
-
-        // 3. Global statistics last, after every shard holds the epoch.
-        let stats = &mut self.platforms[platform];
-        debug_assert_eq!(stats.total as u32, base, "stats slot drift");
-        let profiles = self.snapshot.platform(platform);
-        for j in 0..count {
-            let username = &profiles.signal(base + j as u32).username;
-            stats.count_grams(username, 1);
-            stats.usernames.push(username.clone());
-        }
-        stats.active_count += count;
-        stats.total += count;
-        Ok((0..count).map(|j| base + j as u32).collect())
+        let slots = self.core.insert_batch(
+            platform,
+            batch,
+            "sharded.insert_batch",
+            "snapshot.publish_batch",
+        )?;
+        Ok(slots.collect())
     }
 
-    /// De-list an account from serving (routing to its owning shard). Its
-    /// profile stays in the shared Eq. 18 snapshot, exactly like
-    /// [`LinkageEngine::remove_account`]. All-or-nothing like the insert:
-    /// the global statistics are only updated after the owning shard's
-    /// removal succeeded, so a failing removal (out-of-range platform or
-    /// account, double removal) changes nothing.
+    /// De-list an account from serving. Its profile stays in the shared
+    /// Eq. 18 snapshot, exactly like [`LinkageEngine::remove_account`];
+    /// a failing removal (out-of-range platform or account, double
+    /// removal) changes nothing.
     pub fn remove_account(&mut self, platform: usize, account: u32) -> Result<(), EngineError> {
-        let owner = self.owner(account);
-        self.shards[owner].remove_account(platform, account)?;
-        let stats = &mut self.platforms[platform];
-        let username = stats.usernames[account as usize].clone();
-        stats.count_grams(&username, -1);
-        stats.active_count -= 1;
-        stats.removed.insert(account);
-        Ok(())
+        self.core.remove(platform, account)
     }
 
-    fn check_left(&self, spec: TaskSpec, left_account: u32) -> Result<(), EngineError> {
-        let platform = spec.left_platform as usize;
-        if (left_account as usize) >= self.platforms[platform].total {
-            return Err(EngineError::AccountOutOfRange {
-                platform,
-                account: left_account,
-            });
+    /// One shard's timed partition scan — the per-shard body of both
+    /// fan-outs, strict and panic-isolated.
+    fn probe(&self, s: usize, spec: TaskSpec, left_account: u32) -> Vec<CandidatePair> {
+        let t = hydra_obs::timer();
+        let cands = self.core.scan(s, spec, left_account);
+        if let Some(ns) = t.elapsed_ns() {
+            hydra_obs::observe(&format!("serve.shard.candidates.{s}"), ns);
         }
-        if !self.shards[self.owner(left_account)].is_account_active(platform, left_account) {
-            return Err(EngineError::AccountRemoved {
-                platform,
-                account: left_account,
-            });
-        }
-        Ok(())
+        cands
     }
 
-    /// Fan one left account's candidate generation out over the shards and
-    /// merge deterministically: the engine's exact ranking (username
-    /// similarity descending, ties by right index — a total order over the
-    /// disjoint per-shard account sets), then the global per-user cap.
+    /// Fan one left account's candidate generation out over the shards
+    /// (`threads` workers; 1 walks them in order) and merge
+    /// deterministically.
     fn sharded_candidates(
         &self,
         spec: TaskSpec,
         left_account: u32,
-        parallel: bool,
+        threads: usize,
     ) -> Vec<CandidatePair> {
-        let stats = &self.platforms[spec.right_platform as usize];
-        let limits = GramLimits {
-            counts: &stats.gram_counts,
-            active_count: stats.active_count,
-        };
-        let per_shard: Vec<Vec<CandidatePair>> = if parallel {
-            hydra_par::par_map(&self.shards, |s, shard| {
-                let t = hydra_obs::timer();
-                let cands = shard.candidates_for(spec, left_account, Some(&limits));
-                if let Some(ns) = t.elapsed_ns() {
-                    hydra_obs::observe(&format!("serve.shard.candidates.{s}"), ns);
-                }
-                cands
-            })
-        } else {
-            self.shards
-                .iter()
-                .enumerate()
-                .map(|(s, shard)| {
-                    let t = hydra_obs::timer();
-                    let cands = shard.candidates_for(spec, left_account, Some(&limits));
-                    if let Some(ns) = t.elapsed_ns() {
-                        hydra_obs::observe(&format!("serve.shard.candidates.{s}"), ns);
-                    }
-                    cands
-                })
-                .collect()
-        };
+        let per_shard = hydra_par::par_map_threads(threads, &self.core.engines, |s, _| {
+            self.probe(s, spec, left_account)
+        });
         let _merge = hydra_obs::span("serve.shard.merge");
         merge_shard_candidates(
             per_shard.into_iter().flatten(),
@@ -737,11 +859,10 @@ impl ShardedEngine {
         task: usize,
         left_account: u32,
     ) -> Result<Vec<LinkagePrediction>, EngineError> {
-        let spec = self.shards[0].task_spec(task)?;
-        self.check_left(spec, left_account)?;
+        let spec = self.core.validate(task, &[left_account])?;
         let _query = hydra_obs::span("serve.query");
-        let cands = self.sharded_candidates(spec, left_account, true);
-        Ok(self.shards[0].score_candidates(spec, &cands))
+        let cands = self.sharded_candidates(spec, left_account, hydra_par::num_threads());
+        Ok(self.core.engines[0].score_candidates(spec, &cands))
     }
 
     /// [`ShardedEngine::query`] for a batch of left accounts, fanned out
@@ -754,14 +875,11 @@ impl ShardedEngine {
         task: usize,
         left_accounts: &[u32],
     ) -> Result<Vec<Vec<LinkagePrediction>>, EngineError> {
-        let spec = self.shards[0].task_spec(task)?;
-        for &a in left_accounts {
-            self.check_left(spec, a)?;
-        }
+        let spec = self.core.validate(task, left_accounts)?;
         Ok(hydra_par::par_map(left_accounts, |_, &a| {
             let _query = hydra_obs::span("serve.query");
-            let cands = self.sharded_candidates(spec, a, false);
-            self.shards[0].score_candidates(spec, &cands)
+            let cands = self.sharded_candidates(spec, a, 1);
+            self.core.engines[0].score_candidates(spec, &cands)
         }))
     }
 
@@ -779,41 +897,26 @@ impl ShardedEngine {
         edges: &[(u32, f64)],
         policy: &RetryPolicy,
     ) -> Result<u32, EngineError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut backoff = policy.initial_backoff;
-        for attempt in 1..=attempts {
+        let mut schedule = policy.clone();
+        loop {
             match self.insert_account_with_edges(platform, sig.clone(), edges) {
-                Err(EngineError::Transient { .. }) if attempt < attempts => {
-                    self.health.record_retry();
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff.min(policy.max_backoff));
-                    }
-                    backoff = (backoff * 2).min(policy.max_backoff);
+                Err(EngineError::Transient { .. }) if schedule.back_off() => {
+                    self.health.record_retry()
                 }
                 done => return done,
             }
         }
-        unreachable!("loop returns on the final attempt")
     }
 
-    /// Per-shard candidate generation with panic isolation: every live
-    /// shard's task runs under `catch_unwind` (via
-    /// [`hydra_par::par_map_catch`]); a panicking shard is marked poisoned
-    /// and reported, already-poisoned shards are skipped and reported, and
-    /// the survivors' candidates merge exactly like the strict path's.
-    fn candidates_isolated(
-        &self,
-        spec: TaskSpec,
-        left_account: u32,
-        threads: usize,
-    ) -> (Vec<CandidatePair>, Vec<ShardFailure>) {
-        let stats = &self.platforms[spec.right_platform as usize];
-        let limits = GramLimits {
-            counts: &stats.gram_counts,
-            active_count: stats.active_count,
-        };
-        let live: Vec<usize> = (0..self.num_shards)
-            .filter(|&s| !self.poisoned[s].load(Ordering::Acquire))
+    /// One panic-isolated query (inputs already validated): every live
+    /// shard's `probe` runs under `catch_unwind` (via
+    /// [`hydra_par::par_map_catch_threads`]); a panicking shard is marked
+    /// poisoned and reported, already-poisoned shards are skipped and
+    /// reported, and the survivors' candidates merge and score exactly
+    /// like the strict path's.
+    fn outcome_isolated(&self, spec: TaskSpec, left_account: u32, threads: usize) -> QueryOutcome {
+        let live: Vec<usize> = (0..self.core.num_shards)
+            .filter(|&s| !self.is_poisoned(s))
             .collect();
         let results = hydra_par::par_map_catch_threads(threads, &live, |_, &s| {
             // Injection point for the fan-out: site names are per-shard
@@ -824,35 +927,41 @@ impl ShardedEngine {
             if hydra_fault::enabled() && hydra_fault::fire(&format!("shard.task.{s}")).is_some() {
                 panic!("injected fault in shard task {s}");
             }
-            self.shards[s].candidates_for(spec, left_account, Some(&limits))
+            self.probe(s, spec, left_account)
         });
 
-        let by_shard: HashMap<usize, Result<Vec<CandidatePair>, String>> =
-            live.into_iter().zip(results).collect();
+        let mut answered = live.into_iter().zip(results).peekable();
         let mut merged = Vec::new();
-        let mut failures = Vec::new();
-        let mut by_shard = by_shard;
-        for s in 0..self.num_shards {
-            match by_shard.remove(&s) {
-                None => failures.push(ShardFailure::Quarantined { shard: s }),
-                Some(Ok(cands)) => merged.extend(cands),
-                Some(Err(message)) => {
+        let mut degraded = Vec::new();
+        for s in 0..self.core.num_shards {
+            match answered.next_if(|(live, _)| *live == s) {
+                None => degraded.push(ShardFailure::Quarantined { shard: s }),
+                Some((_, Ok(cands))) => merged.extend(cands),
+                Some((_, Err(message))) => {
                     self.poisoned[s].store(true, Ordering::Release);
                     self.health.record_quarantine();
-                    failures.push(ShardFailure::Panicked { shard: s, message });
+                    degraded.push(ShardFailure::Panicked { shard: s, message });
                 }
             }
         }
-        if !failures.is_empty() {
+        if !degraded.is_empty() {
             // One degraded query; every listed shard's failure count
             // advances (panicked this query or skipped while quarantined).
             self.health
-                .record_degraded(failures.iter().map(ShardFailure::shard));
+                .record_degraded(degraded.iter().map(ShardFailure::shard));
         }
-        (
-            merge_shard_candidates(merged, self.model().candidates.max_per_user),
-            failures,
-        )
+        let cands = merge_shard_candidates(merged, self.model().candidates.max_per_user);
+        // Scoring reads only the shared snapshot + model, so any shard
+        // scores identically; prefer the lowest-indexed live one all the
+        // same (with everything quarantined the list is empty and scoring
+        // is a no-op).
+        let scorer = (0..self.core.num_shards)
+            .find(|&s| !self.is_poisoned(s))
+            .unwrap_or(0);
+        QueryOutcome {
+            predictions: self.core.engines[scorer].score_candidates(spec, &cands),
+            degraded,
+        }
     }
 
     /// [`ShardedEngine::query`] with panic isolation and graceful
@@ -873,15 +982,8 @@ impl ShardedEngine {
         task: usize,
         left_account: u32,
     ) -> Result<QueryOutcome, EngineError> {
-        let spec = self.shards[0].task_spec(task)?;
-        self.check_left(spec, left_account)?;
-        let (cands, degraded) =
-            self.candidates_isolated(spec, left_account, hydra_par::num_threads());
-        let scorer = self.first_live_shard();
-        Ok(QueryOutcome {
-            predictions: self.shards[scorer].score_candidates(spec, &cands),
-            degraded,
-        })
+        let spec = self.core.validate(task, &[left_account])?;
+        Ok(self.outcome_isolated(spec, left_account, hydra_par::num_threads()))
     }
 
     /// [`ShardedEngine::query_outcome`] for a batch of left accounts,
@@ -893,29 +995,14 @@ impl ShardedEngine {
         task: usize,
         left_accounts: &[u32],
     ) -> Result<Vec<QueryOutcome>, EngineError> {
-        let spec = self.shards[0].task_spec(task)?;
-        for &a in left_accounts {
-            self.check_left(spec, a)?;
-        }
+        let spec = self.core.validate(task, left_accounts)?;
         Ok(hydra_par::par_map(left_accounts, |_, &a| {
-            let (cands, degraded) = self.candidates_isolated(spec, a, 1);
-            let scorer = self.first_live_shard();
-            QueryOutcome {
-                predictions: self.shards[scorer].score_candidates(spec, &cands),
-                degraded,
-            }
+            self.outcome_isolated(spec, a, 1)
         }))
     }
 
-    /// The lowest-indexed non-quarantined shard (scoring reads only the
-    /// shared snapshot + model, so any shard scores identically; prefer a
-    /// live one all the same). Falls back to shard 0 when everything is
-    /// quarantined — the candidate list is empty then and scoring is a
-    /// no-op.
-    fn first_live_shard(&self) -> usize {
-        (0..self.num_shards)
-            .find(|&s| !self.poisoned[s].load(Ordering::Acquire))
-            .unwrap_or(0)
+    fn is_poisoned(&self, s: usize) -> bool {
+        self.poisoned[s].load(Ordering::Acquire)
     }
 
     /// Manually quarantine a shard: subsequent
@@ -932,41 +1019,20 @@ impl ShardedEngine {
 
     /// The currently quarantined shards, in ascending order.
     pub fn quarantined(&self) -> Vec<usize> {
-        (0..self.num_shards)
-            .filter(|&s| self.poisoned[s].load(Ordering::Acquire))
+        (0..self.core.num_shards)
+            .filter(|&s| self.is_poisoned(s))
             .collect()
     }
 
     /// Rebuild every quarantined shard **deterministically** from the
-    /// shared [`ProfileSnapshot`]: a fresh per-shard engine over the
-    /// current epoch (same ownership predicate), with the platform removal
-    /// log replayed so the partition's active set comes back exactly.
-    /// Returns the shards recovered; after recovery, queries are bitwise
-    /// identical to an engine that never faulted (pinned by
-    /// `tests/fault_sweeps.rs`).
+    /// shared [`ProfileSnapshot`] and the removal log. Returns the shards
+    /// recovered; after recovery, queries are bitwise identical to an
+    /// engine that never faulted (pinned by `tests/fault_sweeps.rs`).
     pub fn recover_quarantined(&mut self) -> Result<Vec<usize>, EngineError> {
-        let model = self.shards[0].model().clone();
-        let mut recovered = Vec::new();
-        for s in 0..self.num_shards {
-            if !self.poisoned[s].load(Ordering::Acquire) {
-                continue;
-            }
-            let n = self.num_shards;
-            let mut fresh = LinkageEngine::with_shared_snapshot(
-                model.clone(),
-                self.snapshot.clone(),
-                |_, a| routing::owns(s, n, a),
-            )?;
-            for (platform, stats) in self.platforms.iter().enumerate() {
-                for &a in &stats.removed {
-                    if routing::owns(s, n, a) {
-                        fresh.remove_account(platform, a)?;
-                    }
-                }
-            }
-            self.shards[s] = fresh;
+        let recovered = self.quarantined();
+        for &s in &recovered {
+            self.core.rebuild(s)?;
             self.poisoned[s].store(false, Ordering::Release);
-            recovered.push(s);
         }
         self.health.record_recovery(recovered.len() as u64);
         Ok(recovered)
@@ -995,49 +1061,32 @@ impl ShardedEngine {
         }
         inject_point("swap.begin")?;
         let old = self.model().clone();
-        for s in 0..self.num_shards {
+        let shards = &mut self.core.engines;
+        for s in 0..shards.len() {
             // A panic mid-walk would otherwise strand shards 0..s on the
             // new model; catch it and fold it into the rollback path.
             let gate = std::panic::catch_unwind(|| inject_point("swap.shard"))
                 .unwrap_or(Err(EngineError::Transient { site: "swap.shard" }));
             if let Err(e) = gate {
-                for t in 0..s {
-                    self.shards[t].swap_model(old.clone());
+                for shard in &mut shards[..s] {
+                    shard.swap_model(old.clone());
                 }
                 return Err(e);
             }
-            self.shards[s].swap_model(model.clone());
+            shards[s].swap_model(model.clone());
         }
         Ok(())
     }
 }
 
-/// **One shard of the partition, standing alone** — the state a
-/// shard-*process* owns in the cross-box deployment (`hydra-net`): a
-/// partition-restricted [`LinkageEngine`] over this process's own
-/// [`ProfileSnapshot`] handle, plus a full copy of the population-wide
-/// bookkeeping (global gram statistics, usernames, the removal log).
-///
-/// A replica is exactly shard `s` of an N-shard [`ShardedEngine`], minus
-/// the other N-1 shards: it answers the same partition-local candidate
-/// probes (against the same global [`GramLimits`]), scores them with the
-/// same per-pair kernel, and applies the same mutations — the owner
-/// registers an inserted account active, everyone else de-lists it, and
-/// removals update the global statistics everywhere but touch only the
-/// owner's index. N replicas fed the same mutation sequence therefore hold
-/// states that merge (via [`merge_scored_candidates`]) into answers
-/// bitwise-identical to the in-process sharded engine — the invariant the
-/// `hydra-net` parity suite pins across sockets.
-///
-/// Unlike the in-process engine, each replica pays for its own snapshot
-/// (processes don't share an `Arc`) — that is the deliberate cost of
-/// leaving the one-box memory ceiling behind.
+/// The partition core holding **one** shard (see the module docs) — the
+/// state a shard *process* owns in the cross-box deployment (`hydra-net`).
+/// It answers the partition-local half of every query
+/// ([`ShardReplica::query_partition`]) and applies every mutation of the
+/// global sequence, under its own fault sites (`replica.insert`,
+/// `replica.insert_batch`).
 pub struct ShardReplica {
-    snapshot: Arc<ProfileSnapshot>,
-    engine: LinkageEngine,
-    shard: usize,
-    num_shards: usize,
-    platforms: Vec<PlatformStats>,
+    core: Partition,
 }
 
 impl ShardReplica {
@@ -1052,23 +1101,15 @@ impl ShardReplica {
         shard: usize,
         num_shards: usize,
     ) -> Result<Self, EngineError> {
-        let usernames = signals
-            .per_platform
-            .iter()
-            .map(|side| side.iter().map(|sig| sig.username.clone()).collect())
-            .collect();
+        let usernames = username_columns(signals);
         Self::with_usernames(model, signals, graphs, usernames, shard, num_shards)
     }
 
     /// Build a replica whose *population-wide* bookkeeping comes from
     /// explicit per-platform username columns rather than the signal
-    /// store. This is the cold-start path for **sliced** population
-    /// artifacts: the signal columns hold real profiles only for the
-    /// slots the slice retained (absent slots carry placeholder signals),
-    /// but the username columns still list every account on every
-    /// platform — so the global stop-gram statistics, active counts, and
-    /// left-side validation stay bitwise identical to a replica built
-    /// from the full population. `usernames[p].len()` must equal
+    /// store — the cold-start path for **sliced** population artifacts,
+    /// whose signal columns hold real profiles only for the slots the
+    /// slice retained. `usernames[p].len()` must equal
     /// `signals.per_platform[p].len()`; [`ShardReplica::new`] is the
     /// special case where the columns are derived from the signals
     /// themselves.
@@ -1080,96 +1121,46 @@ impl ShardReplica {
         shard: usize,
         num_shards: usize,
     ) -> Result<Self, EngineError> {
-        if num_shards == 0 || shard >= num_shards {
-            return Err(EngineError::InvalidShardCount);
-        }
-        let extractor = model.extractor();
-        let snapshot = Arc::new(ProfileSnapshot::build(&extractor, signals, graphs)?);
-        let engine = LinkageEngine::with_shared_snapshot(model, snapshot.clone(), |_, a| {
-            routing::owns(shard, num_shards, a)
-        })?;
-        let platforms = usernames
-            .into_iter()
-            .map(|column| {
-                let mut stats = PlatformStats {
-                    gram_counts: HashMap::new(),
-                    active_count: column.len(),
-                    total: column.len(),
-                    usernames: Vec::new(),
-                    removed: BTreeSet::new(),
-                };
-                for username in &column {
-                    stats.count_grams(username, 1);
-                }
-                stats.usernames = column;
-                stats
-            })
-            .collect();
-        Ok(ShardReplica {
-            snapshot,
-            engine,
-            shard,
-            num_shards,
-            platforms,
-        })
+        let held = shard..shard.saturating_add(1);
+        let core = Partition::build(model, signals, graphs, usernames, held, num_shards)?;
+        Ok(ShardReplica { core })
     }
 
     /// The partition index this replica serves.
     pub fn shard(&self) -> usize {
-        self.shard
+        self.core.first
     }
 
     /// The partition width the population is sharded over.
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.core.num_shards
     }
 
     /// The wrapped model.
     pub fn model(&self) -> &LinkageModel {
-        self.engine.model()
+        self.core.model()
     }
 
     /// The replica's profile-snapshot epoch (advances once per applied
     /// insert or insert batch — in lockstep across replicas fed the same
     /// mutation sequence).
     pub fn epoch(&self) -> u64 {
-        self.snapshot.epoch()
+        self.core.snapshot.epoch()
     }
 
     /// Number of platform-pair tasks the replica serves.
     pub fn num_tasks(&self) -> usize {
-        self.engine.num_tasks()
+        self.core.engines[0].num_tasks()
     }
 
     /// Number of account slots on a platform (including removed accounts).
     pub fn num_accounts(&self, platform: usize) -> usize {
-        self.platforms.get(platform).map_or(0, |p| p.total)
+        self.core.num_accounts(platform)
     }
 
     /// Number of active (non-removed) accounts on a platform.
     pub fn active_accounts(&self, platform: usize) -> usize {
-        self.platforms.get(platform).map_or(0, |p| p.active_count)
-    }
-
-    /// Left-side validation against the *global* population (every replica
-    /// tracks all removals, so this matches [`ShardedEngine`]'s check on
-    /// the owning shard bit for bit).
-    fn check_left(&self, spec: TaskSpec, left_account: u32) -> Result<(), EngineError> {
-        let platform = spec.left_platform as usize;
-        let stats = &self.platforms[platform];
-        if (left_account as usize) >= stats.total {
-            return Err(EngineError::AccountOutOfRange {
-                platform,
-                account: left_account,
-            });
-        }
-        if stats.removed.contains(&left_account) {
-            return Err(EngineError::AccountRemoved {
-                platform,
-                account: left_account,
-            });
-        }
-        Ok(())
+        self.core.active_accounts(platform)
     }
 
     /// Validate one query without doing any work — the task index and the
@@ -1177,8 +1168,7 @@ impl ShardReplica {
     /// this for every left up front so a bad batch is refused before any
     /// scoring starts, exactly like [`ShardedEngine::query_batch_outcome`].
     pub fn validate_query(&self, task: usize, left_account: u32) -> Result<(), EngineError> {
-        let spec = self.engine.task_spec(task)?;
-        self.check_left(spec, left_account)
+        self.core.validate(task, &[left_account]).map(|_| ())
     }
 
     /// This partition's scored contribution to one query: candidate
@@ -1192,17 +1182,9 @@ impl ShardReplica {
         task: usize,
         left_account: u32,
     ) -> Result<Vec<ScoredCandidate>, EngineError> {
-        let spec = self.engine.task_spec(task)?;
-        self.check_left(spec, left_account)?;
-        let stats = &self.platforms[spec.right_platform as usize];
-        let limits = GramLimits {
-            counts: &stats.gram_counts,
-            active_count: stats.active_count,
-        };
-        let cands = self
-            .engine
-            .candidates_for(spec, left_account, Some(&limits));
-        let preds = self.engine.score_candidates(spec, &cands);
+        let spec = self.core.validate(task, &[left_account])?;
+        let cands = self.core.scan(0, spec, left_account);
+        let preds = self.core.engines[0].score_candidates(spec, &cands);
         let by_right: HashMap<u32, (f64, bool)> = preds
             .iter()
             .map(|p| (p.right, (p.score, p.linked)))
@@ -1222,116 +1204,54 @@ impl ShardReplica {
             .collect())
     }
 
-    /// Register a new account: publish the successor epoch on this
-    /// replica's snapshot and adopt it — active in the index only when
-    /// this replica owns the slot. All-or-nothing exactly like
-    /// [`ShardedEngine::insert_account_with_edges`]; fault-injection site
-    /// `replica.insert` (distinct from the in-process `sharded.insert`, so
-    /// coordinator-side sweeps can't cross-fire into thread-local server
-    /// replicas).
+    /// Register a new account — [`ShardReplica::insert_batch_with_edges`]
+    /// with a batch of one (fault sites `replica.insert`,
+    /// `snapshot.publish`).
     pub fn insert_account_with_edges(
         &mut self,
         platform: usize,
         sig: UserSignals,
         edges: &[(u32, f64)],
     ) -> Result<u32, EngineError> {
-        inject_point("replica.insert")?;
-        let global = ProfileSnapshot::publish_insert(&mut self.snapshot, platform, sig, edges)?;
-        let sig = self.snapshot.platform(platform).signal(global);
-        let owned = routing::owns(self.shard, self.num_shards, global);
-        let idx = self
-            .engine
-            .adopt_epoch(self.snapshot.clone(), platform, sig, owned);
-        debug_assert_eq!(idx, global, "replica slot drift");
-        let stats = &mut self.platforms[platform];
-        debug_assert_eq!(stats.total as u32, global, "stats slot drift");
-        stats.count_grams(&sig.username, 1);
-        stats.usernames.push(sig.username.clone());
-        stats.active_count += 1;
-        stats.total += 1;
-        Ok(global)
+        let batch = vec![(sig, edges.to_vec())];
+        let slots =
+            self.core
+                .insert_batch(platform, batch, "replica.insert", "snapshot.publish")?;
+        Ok(slots.start)
     }
 
-    /// Register a whole batch under **one** published epoch — the replica
-    /// half of [`ShardedEngine::insert_batch_with_edges`], same
-    /// all-or-nothing contract; fault-injection site
-    /// `replica.insert_batch`.
+    /// Register a whole batch under **one** published epoch — active in
+    /// the index only for the slots this replica owns; same all-or-nothing
+    /// contract as [`ShardedEngine::insert_batch_with_edges`] (fault sites
+    /// `replica.insert_batch`, `snapshot.publish_batch`).
     pub fn insert_batch_with_edges(
         &mut self,
         platform: usize,
         batch: Vec<(UserSignals, Vec<(u32, f64)>)>,
     ) -> Result<Vec<u32>, EngineError> {
-        inject_point("replica.insert_batch")?;
-        let count = batch.len();
-        let base = ProfileSnapshot::publish_insert_batch(&mut self.snapshot, platform, batch)?;
-        let (s, n) = (self.shard, self.num_shards);
-        self.engine
-            .adopt_epoch_batch(self.snapshot.clone(), platform, base, count, |idx| {
-                routing::owns(s, n, idx)
-            });
-        let stats = &mut self.platforms[platform];
-        debug_assert_eq!(stats.total as u32, base, "stats slot drift");
-        let profiles = self.snapshot.platform(platform);
-        for j in 0..count {
-            let username = &profiles.signal(base + j as u32).username;
-            stats.count_grams(username, 1);
-            stats.usernames.push(username.clone());
-        }
-        stats.active_count += count;
-        stats.total += count;
-        Ok((0..count).map(|j| base + j as u32).collect())
+        let slots = self.core.insert_batch(
+            platform,
+            batch,
+            "replica.insert_batch",
+            "snapshot.publish_batch",
+        )?;
+        Ok(slots.collect())
     }
 
     /// De-list an account globally: the statistics (gram counts, active
     /// set, removal log) update on every replica, the blocking index only
-    /// on the owner — mirroring how a [`ShardedEngine`] routes the removal
-    /// to the owning shard while all shards share the global statistics.
+    /// on the owner — same errors, same post-state as
+    /// [`ShardedEngine::remove_account`].
     pub fn remove_account(&mut self, platform: usize, account: u32) -> Result<(), EngineError> {
-        let num_platforms = self.platforms.len();
-        let Some(stats) = self.platforms.get(platform) else {
-            return Err(EngineError::PlatformOutOfRange {
-                platform,
-                num_platforms,
-            });
-        };
-        if (account as usize) >= stats.total {
-            return Err(EngineError::AccountOutOfRange { platform, account });
-        }
-        if stats.removed.contains(&account) {
-            return Err(EngineError::AccountRemoved { platform, account });
-        }
-        if routing::owns(self.shard, self.num_shards, account) {
-            self.engine.remove_account(platform, account)?;
-        }
-        let stats = &mut self.platforms[platform];
-        let username = stats.usernames[account as usize].clone();
-        stats.count_grams(&username, -1);
-        stats.active_count -= 1;
-        stats.removed.insert(account);
-        Ok(())
+        self.core.remove(platform, account)
     }
 
     /// Rebuild the partition index **deterministically** from the
-    /// replica's current snapshot — a fresh engine over the same ownership
-    /// predicate, with this partition's removal log replayed. The replica
-    /// half of [`ShardedEngine::recover_quarantined`]: post-rebuild
-    /// answers are bitwise those of a replica that never faulted.
+    /// replica's current snapshot and removal log — the replica half of
+    /// [`ShardedEngine::recover_quarantined`]: post-rebuild answers are
+    /// bitwise those of a replica that never faulted.
     pub fn rebuild(&mut self) -> Result<(), EngineError> {
-        let model = self.engine.model().clone();
-        let (s, n) = (self.shard, self.num_shards);
-        let mut fresh =
-            LinkageEngine::with_shared_snapshot(model, self.snapshot.clone(), |_, a| {
-                routing::owns(s, n, a)
-            })?;
-        for (platform, stats) in self.platforms.iter().enumerate() {
-            for &a in &stats.removed {
-                if routing::owns(s, n, a) {
-                    fresh.remove_account(platform, a)?;
-                }
-            }
-        }
-        self.engine = fresh;
-        Ok(())
+        self.core.rebuild(0)
     }
 }
 

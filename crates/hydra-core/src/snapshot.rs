@@ -37,6 +37,7 @@ use crate::engine::EngineError;
 use crate::features::FeatureExtractor;
 use crate::signals::{AccountBuckets, ProfileCache, Signals, UserSignals};
 use hydra_graph::SocialGraph;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Read-only per-account signal lookup the candidate scorer probes the
@@ -179,7 +180,7 @@ impl SignalStore for PlatformProfiles {
 /// epoch (see the module docs). One snapshot backs every shard of a
 /// [`crate::shard::ShardedEngine`] — and the single-engine path — by
 /// reference-counted handle; ingest publishes successor epochs via
-/// [`copy-on-insert`](ProfileSnapshot::publish_insert).
+/// copy-on-insert.
 #[derive(Clone)]
 pub struct ProfileSnapshot {
     platforms: Vec<Arc<PlatformProfiles>>,
@@ -241,8 +242,7 @@ impl ProfileSnapshot {
     }
 
     /// Monotone epoch counter: 0 at build, +1 per published insert — and
-    /// exactly +1 per published **batch**, however many accounts it holds
-    /// ([`ProfileSnapshot::publish_insert_batch`] amortizes publication).
+    /// exactly +1 per published **batch**, however many accounts it holds.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -254,108 +254,36 @@ impl ProfileSnapshot {
         self.platforms.iter().map(|p| p.heap_bytes()).sum()
     }
 
-    /// Validate an insert and publish the successor epoch onto `this`
-    /// (copy-on-insert; in place when the handle is unique). Returns the
-    /// new account's platform-local index. The profile is taken by value
-    /// and **moved** into the tail entry — the ingest path never deep-
-    /// copies a profile; callers needing it afterwards (index insert,
-    /// shard adoption) read it back through
-    /// `this.platform(p).signal(idx)`.
+    /// Validate an ingest batch and publish it as **one** successor epoch
+    /// onto `this` (copy-on-insert; in place when the handle is unique):
+    /// the spine clone, the epoch bump, and the graph-delta merges are paid
+    /// once for the k accounts. Returns the new accounts' platform-local
+    /// slots — account `j` lands at `start + j`. A single insert is a batch
+    /// of one; k singles and one batch of k leave bitwise-identical
+    /// profiles and graphs (`tests/batch_parity.rs`), differing only in
+    /// the epoch counter.
     ///
-    /// **All-or-nothing**: every failure path returns before any state is
-    /// touched, so an erroring insert leaves the snapshot — and every
-    /// engine holding a handle to it — exactly as it was.
-    pub(crate) fn publish_insert(
-        this: &mut Arc<Self>,
-        platform: usize,
-        sig: UserSignals,
-        edges: &[(u32, f64)],
-    ) -> Result<u32, EngineError> {
-        let num_platforms = this.platforms.len();
-        let Some(profiles) = this.platforms.get(platform) else {
-            return Err(EngineError::PlatformOutOfRange {
-                platform,
-                num_platforms,
-            });
-        };
-        let new_idx = profiles.len() as u32;
-        for &(nbr, w) in edges {
-            // A neighbor must be an existing account (the new node's slot
-            // is not a valid interaction partner either — self-loops carry
-            // no linkage signal and GraphBuilder drops them, but here one
-            // would silently vanish, so reject it as out of range).
-            if nbr >= new_idx {
-                return Err(EngineError::EdgeNeighborOutOfRange {
-                    platform,
-                    neighbor: nbr,
-                });
-            }
-            if !(w > 0.0) {
-                return Err(EngineError::EdgeWeightNotPositive {
-                    platform,
-                    neighbor: nbr,
-                });
-            }
-        }
-        // Last failure point before publication: a fault injected here (or
-        // a transient in a real store) must leave every holder of `this`
-        // untouched — the insert fault sweep pins exactly that.
-        crate::engine::inject_point("snapshot.publish")?;
-
-        // Bucket the profile with the base cache's build parameters —
-        // bit-identical to what a full rebuild over the grown side holds.
-        let entry = ProfileEntry {
-            buckets: profiles.base.cache.bucket_for(&sig),
-            signal: sig,
-        };
-
-        // Validated — publish. `make_mut` clones the spine only when the
-        // epoch is shared (copy-on-insert); a unique handle mutates in
-        // place. The span times publication only (validation refusals
-        // never contaminate the `ingest.epoch_publish` histogram).
-        let _publish = hydra_obs::span("ingest.epoch_publish");
-        let snap = Arc::make_mut(this);
-        snap.epoch += 1;
-        hydra_obs::gauge_set("ingest.epoch", snap.epoch as i64);
-        let plat = Arc::make_mut(&mut snap.platforms[platform]);
-        plat.tail.push(Arc::new(entry));
-        // Graph refresh: pad the snapshot out to the new account's slot (a
-        // graph built before earlier edge-less inserts may be behind),
-        // then merge the interaction delta.
-        while plat.graph.num_nodes() <= new_idx as usize {
-            plat.graph.add_node();
-        }
-        if !edges.is_empty() {
-            let delta: Vec<(u32, u32, f64)> =
-                edges.iter().map(|&(nbr, w)| (new_idx, nbr, w)).collect();
-            plat.graph.add_edges(&delta);
-        }
-        Ok(new_idx)
-    }
-
-    /// Validate a whole ingest batch and publish it as **one** successor
-    /// epoch (copy-on-insert, exactly like
-    /// [`ProfileSnapshot::publish_insert`] — but the spine clone, the
-    /// epoch bump, and the graph-delta merges are paid once for the k
-    /// accounts instead of k times). Returns the first account's
-    /// platform-local index; account `j` lands at `base + j`, so the
-    /// post-state is bitwise-identical to k sequential publishes.
-    ///
-    /// Account `j`'s edge delta may reference any account below `base + j`
-    /// — earlier batch members included — matching what the j-th of k
-    /// sequential inserts would accept.
+    /// Profiles are taken by value and **moved** into tail entries — the
+    /// ingest path never deep-copies a profile; callers needing one
+    /// afterwards (index insert, shard adoption) read it back through
+    /// `this.platform(p).signal(idx)`. Account `j`'s edge delta may
+    /// reference any account below `start + j`, earlier batch members
+    /// included.
     ///
     /// **All-or-nothing**: every account's delta is validated (in batch
-    /// order, neighbor before weight — the first offender yields the same
-    /// error the sequential loop would) before the fallible
-    /// `snapshot.publish_batch` injection point, and nothing is touched
-    /// until every check passed. An empty batch is a no-op: the current
-    /// epoch stands.
+    /// order, neighbor before weight) before the publication gate — the
+    /// `hydra-fault` point named `site`, which the public entry point
+    /// chooses (`snapshot.publish` for a single insert,
+    /// `snapshot.publish_batch` for a batch) — and nothing is touched until
+    /// every check passed, so an erroring insert leaves the snapshot, and
+    /// every engine holding a handle to it, exactly as it was. An empty
+    /// batch is a no-op: the current epoch stands.
     pub(crate) fn publish_insert_batch(
         this: &mut Arc<Self>,
         platform: usize,
         batch: Vec<(UserSignals, Vec<(u32, f64)>)>,
-    ) -> Result<u32, EngineError> {
+        site: &'static str,
+    ) -> Result<Range<u32>, EngineError> {
         let num_platforms = this.platforms.len();
         let Some(profiles) = this.platforms.get(platform) else {
             return Err(EngineError::PlatformOutOfRange {
@@ -363,10 +291,15 @@ impl ProfileSnapshot {
                 num_platforms,
             });
         };
-        let base = profiles.len() as u32;
-        for (j, (_, edges)) in batch.iter().enumerate() {
-            let new_idx = base + j as u32;
+        let start = profiles.len() as u32;
+        let slots = start..start + batch.len() as u32;
+        for (new_idx, (_, edges)) in slots.clone().zip(&batch) {
             for &(nbr, w) in edges {
+                // A neighbor must be an existing account (the new node's
+                // own slot is not a valid interaction partner either —
+                // self-loops carry no linkage signal and GraphBuilder drops
+                // them, but here one would silently vanish, so reject it as
+                // out of range).
                 if nbr >= new_idx {
                     return Err(EngineError::EdgeNeighborOutOfRange {
                         platform,
@@ -382,16 +315,19 @@ impl ProfileSnapshot {
             }
         }
         if batch.is_empty() {
-            return Ok(base);
+            return Ok(slots);
         }
-        // Last failure point before publication — the batch fault sweep
-        // pins that a fault here leaves every holder of `this` untouched.
-        crate::engine::inject_point("snapshot.publish_batch")?;
+        // Last failure point before publication: a fault injected here (or
+        // a transient in a real store) must leave every holder of `this`
+        // untouched — the insert fault sweeps pin exactly that.
+        crate::engine::inject_point(site)?;
 
-        // Bucket every profile up front with the base cache's build
-        // parameters (bit-identical to a full rebuild over the grown
-        // side), then publish the whole batch under one spine clone and
-        // one epoch bump.
+        // Validated — publish. Every profile is bucketed with the base
+        // cache's build parameters (bit-identical to a full rebuild over
+        // the grown side); `make_mut` clones the spine only when the epoch
+        // is shared (copy-on-insert), a unique handle mutates in place. The
+        // span times publication only (validation refusals never
+        // contaminate the `ingest.epoch_publish` histogram).
         let _publish = hydra_obs::span("ingest.epoch_publish");
         let entries: Vec<(Arc<ProfileEntry>, Vec<(u32, f64)>)> = batch
             .into_iter()
@@ -407,9 +343,11 @@ impl ProfileSnapshot {
         snap.epoch += 1;
         hydra_obs::gauge_set("ingest.epoch", snap.epoch as i64);
         let plat = Arc::make_mut(&mut snap.platforms[platform]);
-        for (j, (entry, edges)) in entries.into_iter().enumerate() {
-            let new_idx = base + j as u32;
+        for (new_idx, (entry, edges)) in slots.clone().zip(entries) {
             plat.tail.push(entry);
+            // Graph refresh: pad the snapshot out to the new account's slot
+            // (a graph built before earlier edge-less inserts may be
+            // behind), then merge the interaction delta.
             while plat.graph.num_nodes() <= new_idx as usize {
                 plat.graph.add_node();
             }
@@ -419,6 +357,6 @@ impl ProfileSnapshot {
                 plat.graph.add_edges(&delta);
             }
         }
-        Ok(base)
+        Ok(slots)
     }
 }

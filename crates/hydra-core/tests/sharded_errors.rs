@@ -8,8 +8,8 @@
 use hydra_core::engine::{EngineError, LinkageEngine};
 use hydra_core::ingest::SignalExtractor;
 use hydra_core::model::{Hydra, HydraConfig, LinkagePrediction, PairTask, TrainedHydra};
-use hydra_core::shard::ShardedEngine;
-use hydra_core::signals::{SignalConfig, Signals};
+use hydra_core::shard::{merge_scored_candidates, ShardReplica, ShardedEngine};
+use hydra_core::signals::{SignalConfig, Signals, UserSignals};
 use hydra_core::source::AccountSource;
 use hydra_datagen::{Dataset, DatasetConfig};
 use hydra_graph::SocialGraph;
@@ -310,5 +310,138 @@ fn left_account_inserted_this_epoch_is_queryable() {
             let want = single.query(0, left).expect("single");
             assert_preds_bitwise(&got, &want, &format!("{shards} shards, left {left}"));
         }
+    }
+}
+
+/// One mutation of the error-path script below, applied verbatim to both
+/// deployments of the partition.
+enum Op<'a> {
+    Remove(usize, u32),
+    Insert(usize, &'a UserSignals),
+    Batch(usize, Vec<(UserSignals, Vec<(u32, f64)>)>),
+}
+
+#[test]
+fn replicas_fail_and_answer_exactly_like_the_sharded_engine() {
+    // The failing-mutation cases above (out-of-range / double removal,
+    // failing and empty batches, insert after remove), run against N
+    // stand-alone `ShardReplica`s fed the same ops as one `ShardedEngine`:
+    // every op must return the same value — the same `EngineError` when it
+    // fails — on every replica, and after every op the replicas' counters,
+    // epoch, and merged answers must equal the engine's.
+    let (dataset, signals, extractor) = world(30, 0x8A7C2);
+    let trained = train(&dataset, &signals);
+    let lefts: Vec<u32> = (0..dataset.num_persons() as u32).collect();
+    let total = dataset.num_accounts(1) as u32;
+    let sigs: Vec<_> = (0..4u32)
+        .map(|j| extractor.extract_account(AccountSource::account(&dataset, 1, j), total + j))
+        .collect();
+    let script = [
+        ("remove", Op::Remove(1, 5)),
+        ("double remove", Op::Remove(1, 5)),
+        ("remove a left account", Op::Remove(0, 7)),
+        ("remove: platform out of range", Op::Remove(7, 0)),
+        ("remove: account out of range", Op::Remove(1, 40_000)),
+        (
+            "batch: neighbor is the member's own slot",
+            Op::Batch(
+                1,
+                vec![
+                    (sigs[0].clone(), vec![(0, 1.0)]),
+                    (sigs[1].clone(), vec![]),
+                    (sigs[2].clone(), vec![(total + 2, 1.0)]),
+                ],
+            ),
+        ),
+        (
+            "batch: non-positive weight",
+            Op::Batch(
+                1,
+                vec![(sigs[0].clone(), vec![]), (sigs[1].clone(), vec![(1, 0.0)])],
+            ),
+        ),
+        (
+            "batch: platform out of range",
+            Op::Batch(9, vec![(sigs[0].clone(), vec![])]),
+        ),
+        ("empty batch", Op::Batch(1, Vec::new())),
+        ("insert after remove", Op::Insert(1, &sigs[3])),
+        (
+            "good batch",
+            Op::Batch(
+                1,
+                vec![
+                    (sigs[0].clone(), vec![(0, 1.0)]),
+                    (sigs[1].clone(), vec![(total + 1, 2.0)]),
+                    (sigs[2].clone(), vec![]),
+                ],
+            ),
+        ),
+    ];
+
+    for n in [1usize, 2, 3] {
+        let mut engine = ShardedEngine::new(trained.model.clone(), &signals, graphs(&dataset), n)
+            .expect("sharded");
+        let mut replicas: Vec<ShardReplica> = (0..n)
+            .map(|s| {
+                ShardReplica::new(trained.model.clone(), &signals, graphs(&dataset), s, n)
+                    .expect("replica")
+            })
+            .collect();
+        for (what, op) in &script {
+            let ctx = format!("{n} shards, {what}");
+            let want: Result<Vec<u32>, EngineError> = match op {
+                Op::Remove(p, a) => engine.remove_account(*p, *a).map(|()| Vec::new()),
+                Op::Insert(p, sig) => engine.insert_account(*p, (*sig).clone()).map(|i| vec![i]),
+                Op::Batch(p, batch) => engine.insert_batch_with_edges(*p, batch.clone()),
+            };
+            for r in replicas.iter_mut() {
+                let got = match op {
+                    Op::Remove(p, a) => r.remove_account(*p, *a).map(|()| Vec::new()),
+                    Op::Insert(p, sig) => r
+                        .insert_account_with_edges(*p, (*sig).clone(), &[])
+                        .map(|i| vec![i]),
+                    Op::Batch(p, batch) => r.insert_batch_with_edges(*p, batch.clone()),
+                };
+                assert_eq!(got, want, "{ctx}: replica {} result", r.shard());
+                assert_eq!(
+                    (r.num_accounts(1), r.active_accounts(1), r.epoch()),
+                    (
+                        engine.num_accounts(1),
+                        engine.active_accounts(1),
+                        engine.snapshot().epoch()
+                    ),
+                    "{ctx}: replica {} counters",
+                    r.shard()
+                );
+            }
+            for &left in &lefts {
+                let want = engine.query(0, left);
+                let got = replicas
+                    .iter()
+                    .map(|r| r.query_partition(0, left))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map(|parts| {
+                        merge_scored_candidates(
+                            parts.into_iter().flatten(),
+                            trained.model.candidates.max_per_user,
+                        )
+                    });
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_preds_bitwise(&got, &want, &format!("{ctx}, left {left}"))
+                    }
+                    (got, want) => assert_eq!(got.err(), want.err(), "{ctx}, left {left}"),
+                }
+            }
+        }
+        // The script ended where the hand-written cases do: one removal on
+        // each side, one single insert, one three-account batch.
+        assert_eq!(
+            engine.num_accounts(1) as u32,
+            total + 4,
+            "{n} shards: slots"
+        );
+        assert_eq!(engine.snapshot().epoch(), 2, "{n} shards: epochs");
     }
 }

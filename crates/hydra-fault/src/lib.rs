@@ -226,6 +226,9 @@ mod tests {
 
     #[test]
     fn disabled_by_default() {
+        // Sibling tests install plans process-wide; hold their lock so
+        // "no plan installed" is what this test actually observes.
+        let _no_scope = lock_tolerant(install_lock());
         assert!(!enabled());
         assert_eq!(fire("nowhere"), None);
     }

@@ -13,14 +13,11 @@
 //! * similarity kernels — linear, RBF, chi-square and histogram intersection
 //!   (Section 5.2 cites both for topic-distribution matching),
 //! * an SMO solver for the box/equality-constrained QP of Eq. 16, with the
-//!   warm-start and coefficient-shrinking tricks described in Section 7.5,
-//! * a consensus-ADMM driver standing in for the paper's distributed
-//!   optimization across five servers (Section 6.3, citing Boyd et al.).
+//!   warm-start and coefficient-shrinking tricks described in Section 7.5.
 //!
 //! Everything is implemented from scratch on `f64` slices; no external linear
 //! algebra crates are used.
 
-pub mod admm;
 pub mod decomp;
 pub mod dense;
 pub mod iterative;

@@ -5,7 +5,7 @@
 //! round-trips bit-exactly (the parity suite depends on it).
 
 use bytes::{BufMut, BytesMut};
-use hydra_core::artifact::{ModelIoError, Reader};
+use hydra_core::artifact::{put_f64_vec, put_str, read_str, ModelIoError, Reader};
 use hydra_core::engine::EngineError;
 use hydra_core::shard::ScoredCandidate;
 use hydra_core::signals::{DaySeries, UserSignals};
@@ -29,21 +29,6 @@ pub(crate) fn read_bool(r: &mut Reader) -> Result<bool, ModelIoError> {
         1 => Ok(true),
         t => Err(r.corrupt(format!("invalid bool tag {t} (expected 0 or 1)"))),
     }
-}
-
-pub(crate) fn put_str(w: &mut BytesMut, s: &str) {
-    w.put_u64_le(s.len() as u64);
-    w.put_slice(s.as_bytes());
-}
-
-pub(crate) fn read_str(r: &mut Reader) -> Result<String, ModelIoError> {
-    let n = r.len_prefix(1)?;
-    let bytes = r.bytes(n)?;
-    String::from_utf8(bytes).map_err(|e| r.corrupt(format!("invalid utf-8 string: {e}")))
-}
-
-pub(crate) fn put_f64_vec(w: &mut BytesMut, v: &[f64]) {
-    hydra_core::artifact::put_f64_vec(w, v);
 }
 
 pub(crate) fn put_u32_vec(w: &mut BytesMut, v: &[u32]) {

@@ -216,6 +216,24 @@ fn read_message(stream: &mut dyn Conn) -> Result<Message, NetError> {
     Ok(Message::decode(&frame)?)
 }
 
+/// The error for a reply of the wrong kind at a protocol step.
+fn unexpected(expected: &'static str, found: &Message) -> NetError {
+    NetError::UnexpectedFrame {
+        expected,
+        found: found.kind(),
+    }
+}
+
+/// Shard `s` must have acked with `Ok`; a refusal is a protocol error
+/// naming the shard.
+fn expect_ok(s: usize, reply: Message) -> Result<(), NetError> {
+    match reply {
+        Message::Ok => Ok(()),
+        Message::Refuse(r) => Err(NetError::Protocol(format!("shard {s}: {r:?}"))),
+        other => Err(unexpected("Ok", &other)),
+    }
+}
+
 /// The coordinator: scatter-gather serving over N shard-server
 /// processes, presenting the same query/mutation surface as the
 /// in-process engines.
@@ -292,15 +310,7 @@ impl DistributedEngine {
         };
         let mut statuses = Vec::with_capacity(n);
         for s in 0..n {
-            match eng.request(s, &Message::Status)? {
-                Message::StatusResp { info, .. } => statuses.push(info),
-                other => {
-                    return Err(NetError::UnexpectedFrame {
-                        expected: "StatusResp",
-                        found: other.kind(),
-                    })
-                }
-            }
+            statuses.push(eng.status(s)?);
         }
         if let Some(first) = statuses.first() {
             for (s, st) in statuses.iter().enumerate() {
@@ -374,50 +384,24 @@ impl DistributedEngine {
             Message::Refuse(Refusal::Topology { expected, found }) => {
                 return Err(NetError::TopologyMismatch { expected, found })
             }
-            other => {
-                return Err(NetError::UnexpectedFrame {
-                    expected: "HelloAck",
-                    found: other.kind(),
-                })
-            }
+            other => return Err(unexpected("HelloAck", &other)),
         };
         // Replay the suffix this peer missed. (Bypasses the write/read
         // injection sites — see the module docs.)
         let start = (st.applied_seq + 1).saturating_sub(self.base_seq) as usize;
         for op in self.oplog.iter().skip(start) {
-            let attempts = self.retry.max_attempts.max(1);
-            let mut backoff = self.retry.initial_backoff;
-            let mut done = false;
-            for attempt in 1..=attempts {
+            let mut schedule = self.retry.clone();
+            loop {
                 op.encode().write_to(stream.as_mut())?;
                 match read_message(stream.as_mut())? {
                     Message::MutResp(MutOutcome::Rejected(EngineError::Transient { .. }))
-                        if attempt < attempts =>
-                    {
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff.min(self.retry.max_backoff));
-                        }
-                        backoff = (backoff * 2).min(self.retry.max_backoff);
-                    }
-                    Message::MutResp(_) => {
-                        done = true;
-                        break;
-                    }
+                        if schedule.back_off() => {}
+                    Message::MutResp(_) => break,
                     Message::Refuse(r) => {
                         return Err(NetError::Protocol(format!("replay refused: {r:?}")))
                     }
-                    other => {
-                        return Err(NetError::UnexpectedFrame {
-                            expected: "MutResp",
-                            found: other.kind(),
-                        })
-                    }
+                    other => return Err(unexpected("MutResp", &other)),
                 }
-            }
-            if !done {
-                return Err(NetError::Refused(EngineError::Transient {
-                    site: "remote.transient",
-                }));
             }
         }
         stream.set_io_timeout(None)?;
@@ -483,15 +467,15 @@ impl DistributedEngine {
     fn request(&mut self, s: usize, msg: &Message) -> Result<Message, NetError> {
         match self.exchange(s, msg) {
             Ok(reply) => Ok(reply),
-            Err(e) => self.request_from(s, msg, 1, self.retry.initial_backoff, e),
+            Err(e) => self.request_from(s, msg, self.retry.clone(), e),
         }
     }
 
-    /// Continue the retry schedule for shard `s` after `spent` attempts
-    /// already failed, the latest with `last` (`backoff` is the sleep the
-    /// *next* retry owes). Each further attempt is a full exchange on a
-    /// fresh dial. This is how the pipelined scatter keeps fault-site hit
-    /// counts identical to the sequential path: a gather-phase failure
+    /// Continue shard `s`'s retry schedule after an attempt failed with
+    /// `last`; `schedule` is what remains of the [`RetryPolicy`] (see
+    /// [`RetryPolicy::back_off`]). Each further attempt is a full exchange
+    /// on a fresh dial. This is how the pipelined scatter keeps fault-site
+    /// hit counts identical to the sequential path: a gather-phase failure
     /// resumes the schedule exactly where the scatter phase left it,
     /// instead of starting a fresh full-budget request (which would
     /// consume one-shot faults the sequential path never reached).
@@ -499,23 +483,15 @@ impl DistributedEngine {
         &mut self,
         s: usize,
         msg: &Message,
-        spent: u32,
-        mut backoff: Duration,
+        mut schedule: RetryPolicy,
         mut last: NetError,
     ) -> Result<Message, NetError> {
-        let attempts = self.retry.max_attempts.max(1);
-        let mut attempt = spent;
         loop {
             self.conns[s] = None;
-            if !retryable(&last) || attempt >= attempts {
+            if !retryable(&last) || !schedule.back_off() {
                 return Err(last);
             }
             self.health.record_retry();
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff.min(self.retry.max_backoff));
-            }
-            backoff = (backoff * 2).min(self.retry.max_backoff);
-            attempt += 1;
             match self.exchange(s, msg) {
                 Ok(reply) => return Ok(reply),
                 Err(e) => last = e,
@@ -558,11 +534,10 @@ impl DistributedEngine {
         // Phase one runs each shard's write under the retry schedule
         // (write failures never owed a reply, so retrying just the write
         // is the sequential path's behavior with the read deferred);
-        // `scattered[s]` records how many attempts it spent, the backoff
-        // it advanced to, and a hard failure if it exhausted.
+        // `scattered[s]` records what remains of its schedule and a hard
+        // failure if it exhausted.
         struct Scattered {
-            spent: u32,
-            backoff: Duration,
+            schedule: RetryPolicy,
             failed: Option<NetError>,
         }
         /// Drop the connections of shards (from `from` on) still owing a
@@ -574,33 +549,22 @@ impl DistributedEngine {
                 }
             }
         }
-        let attempts = self.retry.max_attempts.max(1);
         let mut scattered: Vec<Scattered> = Vec::with_capacity(n);
         for s in 0..n {
-            let mut spent = 1;
-            let mut backoff = self.retry.initial_backoff;
+            let mut schedule = self.retry.clone();
             let failed = loop {
                 match self.write_half(s, &msg) {
                     Ok(()) => break None,
                     Err(e) => {
                         self.conns[s] = None;
-                        if !retryable(&e) || spent >= attempts {
+                        if !retryable(&e) || !schedule.back_off() {
                             break Some(e);
                         }
                         self.health.record_retry();
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff.min(self.retry.max_backoff));
-                        }
-                        backoff = (backoff * 2).min(self.retry.max_backoff);
-                        spent += 1;
                     }
                 }
             };
-            scattered.push(Scattered {
-                spent,
-                backoff,
-                failed,
-            });
+            scattered.push(Scattered { schedule, failed });
         }
 
         // Phase two: gather in shard order. A gather failure resumes the
@@ -612,16 +576,10 @@ impl DistributedEngine {
         for s in 0..n {
             let result = match scattered[s].failed.take() {
                 Some(e) => Err(e),
-                None => {
-                    let owed = self.read_half(s);
-                    match owed {
-                        Ok(reply) => Ok(reply),
-                        Err(e) => {
-                            let (spent, backoff) = (scattered[s].spent, scattered[s].backoff);
-                            self.request_from(s, &msg, spent, backoff, e)
-                        }
-                    }
-                }
+                None => match self.read_half(s) {
+                    Ok(reply) => Ok(reply),
+                    Err(e) => self.request_from(s, &msg, scattered[s].schedule.clone(), e),
+                },
             };
             match result {
                 Ok(Message::QueryResp(Ok(replies))) => {
@@ -656,10 +614,7 @@ impl DistributedEngine {
                 }
                 Ok(other) => {
                     abandon(&mut self.conns, &scattered, s + 1);
-                    return Err(NetError::UnexpectedFrame {
-                        expected: "QueryResp",
-                        found: other.kind(),
-                    });
+                    return Err(unexpected("QueryResp", &other));
                 }
                 // Protocol-level refusals are configuration errors, not
                 // degradation — propagate.
@@ -752,29 +707,18 @@ impl DistributedEngine {
         let mut rejected: Option<EngineError> = None;
         let mut unreachable: Vec<usize> = Vec::new();
         for s in 0..n {
-            let attempts = self.retry.max_attempts.max(1);
-            let mut backoff = self.retry.initial_backoff;
-            let mut outcome: Option<Result<Message, NetError>> = None;
-            for attempt in 1..=attempts {
+            let mut schedule = self.retry.clone();
+            let outcome = loop {
                 match self.request(s, &op) {
-                    Ok(Message::MutResp(MutOutcome::Rejected(EngineError::Transient { site })))
-                        if attempt < attempts =>
-                    {
-                        // Seq not consumed server-side; same op retries.
-                        let _ = site;
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff.min(self.retry.max_backoff));
-                        }
-                        backoff = (backoff * 2).min(self.retry.max_backoff);
-                    }
-                    other => {
-                        outcome = Some(other);
-                        break;
-                    }
+                    // Seq not consumed server-side; same op retries.
+                    Ok(Message::MutResp(MutOutcome::Rejected(EngineError::Transient {
+                        ..
+                    }))) if schedule.back_off() => {}
+                    other => break other,
                 }
-            }
+            };
             match outcome {
-                Some(Ok(Message::MutResp(MutOutcome::Applied { bases: b }))) => {
+                Ok(Message::MutResp(MutOutcome::Applied { bases: b })) => {
                     if let Some(prev) = &bases {
                         if *prev != b {
                             return Err(NetError::Protocol(format!(
@@ -786,20 +730,15 @@ impl DistributedEngine {
                     }
                 }
                 // Dial-replay already delivered this op to that shard.
-                Some(Ok(Message::MutResp(MutOutcome::AlreadyApplied))) => {}
-                Some(Ok(Message::MutResp(MutOutcome::Rejected(e)))) => rejected = Some(e),
-                Some(Ok(other)) => {
-                    return Err(NetError::UnexpectedFrame {
-                        expected: "MutResp",
-                        found: other.kind(),
-                    })
-                }
-                Some(Err(
+                Ok(Message::MutResp(MutOutcome::AlreadyApplied)) => {}
+                Ok(Message::MutResp(MutOutcome::Rejected(e))) => rejected = Some(e),
+                Ok(other) => return Err(unexpected("MutResp", &other)),
+                Err(
                     e @ (NetError::FingerprintMismatch { .. }
                     | NetError::TopologyMismatch { .. }
                     | NetError::Protocol(_)),
-                )) => return Err(e),
-                Some(Err(_)) | None => unreachable.push(s),
+                ) => return Err(e),
+                Err(_) => unreachable.push(s),
             }
         }
         if let Some(e) = rejected {
@@ -822,20 +761,15 @@ impl DistributedEngine {
     /// Register one account on `platform` across every shard — the
     /// process-sharded
     /// [`ShardedEngine::insert_account_with_edges`](hydra_core::shard::ShardedEngine::insert_account_with_edges).
-    /// Returns the assigned global account index.
+    /// Returns the assigned global account index. On the wire a single
+    /// insert is an `InsertBatch` of one.
     pub fn insert_account_with_edges(
         &mut self,
         platform: usize,
         sig: UserSignals,
         edges: &[(u32, f64)],
     ) -> Result<u32, NetError> {
-        let op = Message::InsertBatch {
-            seq: self.next_seq,
-            platform: platform as u32,
-            accounts: vec![(sig, edges.to_vec())],
-        };
-        let bases = self.broadcast(op)?;
-        self.epoch += 1;
+        let bases = self.insert_batch_with_edges(platform, vec![(sig, edges.to_vec())])?;
         match bases.as_slice() {
             [base] => Ok(*base),
             other => Err(NetError::Protocol(format!(
@@ -846,11 +780,17 @@ impl DistributedEngine {
     }
 
     /// Register a batch under one published epoch across every shard.
+    /// An empty batch is a no-op here — no sequence number, no oplog
+    /// entry, no epoch bump — because every replica treats it as a no-op
+    /// at the current epoch, exactly like the in-process engine.
     pub fn insert_batch_with_edges(
         &mut self,
         platform: usize,
         accounts: Vec<(UserSignals, Vec<(u32, f64)>)>,
     ) -> Result<Vec<u32>, NetError> {
+        if accounts.is_empty() {
+            return Ok(Vec::new());
+        }
         let op = Message::InsertBatch {
             seq: self.next_seq,
             platform: platform as u32,
@@ -878,29 +818,27 @@ impl DistributedEngine {
     pub fn assert_epochs(&mut self) -> Result<(), NetError> {
         let epoch = self.epoch;
         for s in 0..self.endpoints.len() {
-            match self.request(s, &Message::AdoptEpoch { epoch })? {
-                Message::Ok => {}
-                Message::Refuse(r) => return Err(NetError::Protocol(format!("shard {s}: {r:?}"))),
-                other => {
-                    return Err(NetError::UnexpectedFrame {
-                        expected: "Ok",
-                        found: other.kind(),
-                    })
-                }
-            }
+            let reply = self.request(s, &Message::AdoptEpoch { epoch })?;
+            expect_ok(s, reply)?;
         }
         Ok(())
     }
 
+    /// Probe one shard: its status plus the metrics snapshot its process
+    /// attached, if any.
+    fn status_with_metrics(
+        &mut self,
+        s: usize,
+    ) -> Result<(StatusInfo, Option<MetricsSnapshot>), NetError> {
+        match self.request(s, &Message::Status)? {
+            Message::StatusResp { info, metrics } => Ok((info, metrics)),
+            other => Err(unexpected("StatusResp", &other)),
+        }
+    }
+
     /// Probe one shard's status (ignoring any attached metrics payload).
     pub fn status(&mut self, s: usize) -> Result<StatusInfo, NetError> {
-        match self.request(s, &Message::Status)? {
-            Message::StatusResp { info, .. } => Ok(info),
-            other => Err(NetError::UnexpectedFrame {
-                expected: "StatusResp",
-                found: other.kind(),
-            }),
-        }
+        Ok(self.status_with_metrics(s)?.0)
     }
 
     /// Coordinator-side failure accounting: degraded queries, per-shard
@@ -921,18 +859,8 @@ impl DistributedEngine {
     pub fn fleet_metrics(&mut self) -> Result<MetricsSnapshot, NetError> {
         let mut fleet = MetricsSnapshot::default();
         for s in 0..self.endpoints.len() {
-            match self.request(s, &Message::Status)? {
-                Message::StatusResp { metrics, .. } => {
-                    if let Some(snap) = metrics {
-                        fleet.merge_from(&snap);
-                    }
-                }
-                other => {
-                    return Err(NetError::UnexpectedFrame {
-                        expected: "StatusResp",
-                        found: other.kind(),
-                    })
-                }
+            if let Some(snap) = self.status_with_metrics(s)?.1 {
+                fleet.merge_from(&snap);
             }
         }
         if hydra_obs::enabled() {
@@ -943,16 +871,10 @@ impl DistributedEngine {
 
     /// Poison one shard's replica (testing / operational isolation).
     pub fn quarantine(&mut self, s: usize) -> Result<(), NetError> {
-        match self.request(s, &Message::Quarantine)? {
-            Message::Ok => {
-                self.health.record_quarantine();
-                Ok(())
-            }
-            other => Err(NetError::UnexpectedFrame {
-                expected: "Ok",
-                found: other.kind(),
-            }),
-        }
+        let reply = self.request(s, &Message::Quarantine)?;
+        expect_ok(s, reply)?;
+        self.health.record_quarantine();
+        Ok(())
     }
 
     /// Rebuild every shard's partition index deterministically and clear
@@ -960,16 +882,9 @@ impl DistributedEngine {
     /// [`ShardedEngine::recover_quarantined`](hydra_core::shard::ShardedEngine::recover_quarantined).
     pub fn recover(&mut self) -> Result<(), NetError> {
         for s in 0..self.endpoints.len() {
-            match self.request(s, &Message::Recover)? {
-                Message::Ok => self.health.record_recovery(1),
-                Message::Refuse(r) => return Err(NetError::Protocol(format!("shard {s}: {r:?}"))),
-                other => {
-                    return Err(NetError::UnexpectedFrame {
-                        expected: "Ok",
-                        found: other.kind(),
-                    })
-                }
-            }
+            let reply = self.request(s, &Message::Recover)?;
+            expect_ok(s, reply)?;
+            self.health.record_recovery(1);
         }
         Ok(())
     }

@@ -61,6 +61,45 @@ impl Frame {
     /// diagnostics.
     pub fn from_bytes(bytes: &[u8]) -> Result<(Frame, usize), ModelIoError> {
         let mut r = Reader::new(bytes);
+        let header = Header::read(&mut r)?;
+        r.set_section("frame payload");
+        let payload = r.bytes(header.len)?;
+        Ok((header.frame(payload)?, HEADER_LEN + header.len))
+    }
+
+    /// Write the frame to a socket (or any writer), flushing.
+    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
+        w.write_all(&self.to_bytes())?;
+        w.flush()
+    }
+
+    /// Read one frame from a socket (or any reader). A connection torn
+    /// down mid-frame surfaces as a typed
+    /// [`ModelIoError::Truncated`] (offset = bytes received, section
+    /// names the frame part that was cut), exactly like a truncated
+    /// artifact file; other socket failures surface as
+    /// [`NetError::Io`].
+    pub fn read_from<R: Read + ?Sized>(r: &mut R) -> Result<Frame, NetError> {
+        let mut fixed = [0u8; HEADER_LEN];
+        read_exact_or_truncated(r, &mut fixed, "frame header", 0)?;
+        let header = Header::read(&mut Reader::new(&fixed))?;
+        let mut payload = vec![0u8; header.len];
+        read_exact_or_truncated(r, &mut payload, "frame payload", HEADER_LEN)?;
+        Ok(header.frame(payload)?)
+    }
+}
+
+/// The fixed frame header, parsed and verified — the one place magic,
+/// version, and the payload-length cap are checked, whether the bytes came
+/// from a buffer ([`Frame::from_bytes`]) or a socket ([`Frame::read_from`]).
+struct Header {
+    kind: u8,
+    len: usize,
+    checksum: u64,
+}
+
+impl Header {
+    fn read(r: &mut Reader) -> Result<Header, ModelIoError> {
         r.set_section("frame header");
         let magic = r.bytes(4)?;
         if magic != MAGIC {
@@ -86,79 +125,31 @@ impl Frame {
             )));
         }
         let checksum = r.u64()?;
-        r.set_section("frame payload");
-        let payload = r.bytes(len)?;
+        Ok(Header {
+            kind,
+            len,
+            checksum,
+        })
+    }
+
+    /// Verify the payload against the header's checksum and assemble the
+    /// frame.
+    fn frame(&self, payload: Vec<u8>) -> Result<Frame, ModelIoError> {
         let actual = fnv1a(&payload);
-        if actual != checksum {
+        if actual != self.checksum {
             return Err(ModelIoError::Corrupt {
                 offset: HEADER_LEN,
                 section: "frame payload",
                 what: format!(
-                    "payload checksum mismatch: header says {checksum:#018x}, bytes hash to {actual:#018x}"
+                    "payload checksum mismatch: header says {:#018x}, bytes hash to {actual:#018x}",
+                    self.checksum
                 ),
             });
         }
-        Ok((Frame { kind, payload }, HEADER_LEN + len))
-    }
-
-    /// Write the frame to a socket (or any writer), flushing.
-    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(&self.to_bytes())?;
-        w.flush()
-    }
-
-    /// Read one frame from a socket (or any reader). A connection torn
-    /// down mid-frame surfaces as a typed
-    /// [`ModelIoError::Truncated`] (offset = bytes received, section
-    /// names the frame part that was cut), exactly like a truncated
-    /// artifact file; other socket failures surface as
-    /// [`NetError::Io`].
-    pub fn read_from<R: Read + ?Sized>(r: &mut R) -> Result<Frame, NetError> {
-        let mut header = [0u8; HEADER_LEN];
-        read_exact_or_truncated(r, &mut header, "frame header", 0)?;
-        // Parse the fixed header through the checked reader so bad
-        // magic/version/length share one code path with from_bytes.
-        let mut hr = Reader::new(&header);
-        hr.set_section("frame header");
-        let magic = hr.bytes(4).map_err(NetError::Decode)?;
-        if magic != MAGIC {
-            let mut found = [0u8; 4];
-            found.copy_from_slice(&magic);
-            return Err(NetError::Decode(ModelIoError::BadMagic {
-                expected: MAGIC,
-                found,
-            }));
-        }
-        let version = hr.u16().map_err(NetError::Decode)?;
-        if version == 0 || version > VERSION {
-            return Err(NetError::Decode(ModelIoError::UnsupportedVersion {
-                found: version,
-                max: VERSION,
-            }));
-        }
-        let kind = hr.u8().map_err(NetError::Decode)?;
-        let len = hr.u32().map_err(NetError::Decode)? as usize;
-        if len > MAX_PAYLOAD {
-            return Err(NetError::Decode(ModelIoError::Corrupt {
-                offset: 7,
-                section: "frame header",
-                what: format!("frame payload length {len} exceeds cap {MAX_PAYLOAD}"),
-            }));
-        }
-        let checksum = hr.u64().map_err(NetError::Decode)?;
-        let mut payload = vec![0u8; len];
-        read_exact_or_truncated(r, &mut payload, "frame payload", HEADER_LEN)?;
-        let actual = fnv1a(&payload);
-        if actual != checksum {
-            return Err(NetError::Decode(ModelIoError::Corrupt {
-                offset: HEADER_LEN,
-                section: "frame payload",
-                what: format!(
-                    "payload checksum mismatch: header says {checksum:#018x}, bytes hash to {actual:#018x}"
-                ),
-            }));
-        }
-        Ok(Frame { kind, payload })
+        Ok(Frame {
+            kind: self.kind,
+            payload,
+        })
     }
 }
 

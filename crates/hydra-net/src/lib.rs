@@ -62,12 +62,6 @@
 //! layer uses; hard faults mark the shard down and degrade. The
 //! `net_fault_sweeps` test enumerates every site × kind and pins that
 //! healthy shards keep serving and recovery is bitwise.
-//!
-//! ## Not to be confused with
-//!
-//! `hydra_core::distributed` is **fit-time** scale-out (ADMM consensus
-//! training, Sections 6.3/7.5); this crate is **serve-time** scale-out.
-//! The two share nothing but the ambition.
 
 // Serving-path discipline (same gate as hydra-core's serving modules): a
 // stray unwrap/expect in protocol or server code tears down a shard

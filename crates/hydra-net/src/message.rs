@@ -9,7 +9,7 @@
 use crate::codec;
 use crate::frame::Frame;
 use bytes::{BufMut, BytesMut};
-use hydra_core::artifact::{ModelIoError, Reader};
+use hydra_core::artifact::{put_str, read_str, ModelIoError, Reader};
 use hydra_core::engine::EngineError;
 use hydra_core::shard::ScoredCandidate;
 use hydra_core::signals::UserSignals;
@@ -243,7 +243,7 @@ fn put_reply(w: &mut BytesMut, reply: &QueryReply) {
         }
         QueryReply::Panicked(msg) => {
             w.put_slice(&[1]);
-            codec::put_str(w, msg);
+            put_str(w, msg);
         }
         QueryReply::Quarantined => w.put_slice(&[2]),
     }
@@ -252,7 +252,7 @@ fn put_reply(w: &mut BytesMut, reply: &QueryReply) {
 fn read_reply(r: &mut Reader) -> Result<QueryReply, ModelIoError> {
     match r.u8()? {
         0 => Ok(QueryReply::Answer(read_scored_vec(r)?)),
-        1 => Ok(QueryReply::Panicked(codec::read_str(r)?)),
+        1 => Ok(QueryReply::Panicked(read_str(r)?)),
         2 => Ok(QueryReply::Quarantined),
         t => Err(r.corrupt(format!("unknown query reply tag {t} (expected 0..=2)"))),
     }
@@ -279,7 +279,7 @@ fn put_refusal(w: &mut BytesMut, refusal: &Refusal) {
         }
         Refusal::Other(what) => {
             w.put_slice(&[3]);
-            codec::put_str(w, what);
+            put_str(w, what);
         }
     }
 }
@@ -298,7 +298,7 @@ fn read_refusal(r: &mut Reader) -> Result<Refusal, ModelIoError> {
             expected: r.u64()?,
             found: r.u64()?,
         }),
-        3 => Ok(Refusal::Other(codec::read_str(r)?)),
+        3 => Ok(Refusal::Other(read_str(r)?)),
         t => Err(r.corrupt(format!("unknown refusal tag {t} (expected 0..=3)"))),
     }
 }

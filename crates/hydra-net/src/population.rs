@@ -11,7 +11,7 @@
 //!
 //! ## Slicing
 //!
-//! Version 2 makes the artifact *partition-aware*: a `(shard,
+//! The artifact is *partition-aware*: a `(shard,
 //! num_shards)` topology header ((0, 0) = the full population) and a
 //! sparse signal encoding let [`PopulationArtifact::slice_for_shard`]
 //! write a per-shard artifact carrying only the profiles that shard's
@@ -40,9 +40,9 @@
 //!      | { graph }...            (one per platform, canonical edge list)
 //! ```
 //!
-//! Version-1 artifacts (dense signals, no topology, no username columns)
-//! still load: they decode as full populations with columns derived from
-//! the signals themselves.
+//! Only the current version decodes: no artifact outlives the build
+//! that wrote it, so an older header is refused with the typed
+//! [`ModelIoError::UnsupportedVersion`].
 //!
 //! The FNV-1a checksum over the body catches torn writes; graphs decode
 //! by deterministic [`GraphBuilder`](hydra_graph::GraphBuilder) rebuild,
@@ -55,7 +55,9 @@
 use crate::codec;
 use crate::NetError;
 use bytes::{BufMut, BytesMut};
-use hydra_core::artifact::{fnv1a, load_bytes, write_atomic, ModelIoError, Reader, TaskSpec};
+use hydra_core::artifact::{
+    fnv1a, load_bytes, put_str, read_str, write_atomic, ModelIoError, Reader, TaskSpec,
+};
 use hydra_core::routing;
 use hydra_core::signals::{Signals, UserSignals};
 use hydra_graph::{top_k_friends, GraphBuilder, SocialGraph};
@@ -64,7 +66,7 @@ use std::collections::BTreeSet;
 
 /// Artifact magic: "HYPP" (HYdra Population Pack).
 pub const MAGIC: [u8; 4] = *b"HYPP";
-/// Format version this build writes.
+/// The one format version this build writes and reads.
 pub const VERSION: u16 = 2;
 
 /// A serialized population: everything a shard server needs, beyond the
@@ -152,8 +154,8 @@ impl PopulationArtifact {
     /// * **Every platform** — the full username column, so global
     ///   stop-gram blocking statistics rebuild exactly.
     ///
-    /// Serve-time inserts replicate signals to every shard
-    /// (`publish_insert`), so mutations stay bitwise too — with one
+    /// Serve-time inserts replicate signals to every shard (each replica
+    /// publishes every epoch), so mutations stay bitwise too — with one
     /// documented contract: an account inserted *after* slicing may pull
     /// a pre-slicing account into its top-3, and that neighbor's profile
     /// is only guaranteed on shards that kept it. The mutation parity
@@ -258,7 +260,7 @@ impl PopulationArtifact {
         for (p, side) in self.per_platform.iter().enumerate() {
             body.put_u64_le(side.len() as u64);
             for username in &self.usernames[p] {
-                codec::put_str(&mut body, username);
+                put_str(&mut body, username);
             }
             let present: Vec<u32> = (0..side.len() as u32)
                 .filter(|&a| self.present[p][a as usize])
@@ -283,8 +285,7 @@ impl PopulationArtifact {
 
     /// Decode, verifying magic, version, and body checksum. Every
     /// malformed input — any truncation prefix included — surfaces a
-    /// typed [`ModelIoError`], never a panic. Version-1 bodies (dense,
-    /// unsliced) are accepted and decode as full populations.
+    /// typed [`ModelIoError`], never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
         let mut r = Reader::new(bytes);
         r.set_section("population header");
@@ -298,7 +299,7 @@ impl PopulationArtifact {
             });
         }
         let version = r.u16()?;
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(ModelIoError::UnsupportedVersion {
                 found: version,
                 max: VERSION,
@@ -321,11 +322,7 @@ impl PopulationArtifact {
         r.set_section("population body");
         let extractor_fingerprint = r.u64()?;
         let window_days = r.u32()?;
-        let (shard, num_shards) = if version >= 2 {
-            (r.u32()?, r.u32()?)
-        } else {
-            (0, 0)
-        };
+        let (shard, num_shards) = (r.u32()?, r.u32()?);
         if num_shards == 0 && shard != 0 {
             return Err(r.corrupt(format!("shard {shard} of an unsliced (0-shard) population")));
         }
@@ -340,59 +337,49 @@ impl PopulationArtifact {
         let mut usernames = Vec::with_capacity(num_platforms);
         r.set_section("population signals");
         for p in 0..num_platforms {
-            if version >= 2 {
-                let num_slots = r.len_prefix(1)?;
-                let column = (0..num_slots)
-                    .map(|_| codec::read_str(&mut r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let num_present = r.len_prefix(5)?;
-                if num_present > num_slots {
-                    return Err(r.corrupt(format!(
-                        "platform {p}: {num_present} present signals in {num_slots} slots"
-                    )));
-                }
-                if num_shards == 0 && num_present != num_slots {
-                    return Err(r.corrupt(format!(
-                        "platform {p}: unsliced population with only {num_present} of {num_slots} signals"
-                    )));
-                }
-                let mut side = vec![UserSignals::empty(); num_slots];
-                let mut mask = vec![false; num_slots];
-                let mut prev: Option<u32> = None;
-                for _ in 0..num_present {
-                    let slot = r.u32()?;
-                    if (slot as usize) >= num_slots {
-                        return Err(
-                            r.corrupt(format!("platform {p}: present slot {slot} out of range"))
-                        );
-                    }
-                    if prev.is_some_and(|q| slot <= q) {
-                        return Err(r.corrupt(format!(
-                            "platform {p}: present slots out of order at {slot}"
-                        )));
-                    }
-                    prev = Some(slot);
-                    let sig = codec::read_signals(&mut r)?;
-                    if sig.username != column[slot as usize] {
-                        return Err(r.corrupt(format!(
-                            "platform {p} slot {slot}: signal username disagrees with column"
-                        )));
-                    }
-                    side[slot as usize] = sig;
-                    mask[slot as usize] = true;
-                }
-                per_platform.push(side);
-                present.push(mask);
-                usernames.push(column);
-            } else {
-                let n = r.len_prefix(1)?;
-                let side = (0..n)
-                    .map(|_| codec::read_signals(&mut r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                present.push(vec![true; side.len()]);
-                usernames.push(side.iter().map(|sig| sig.username.clone()).collect());
-                per_platform.push(side);
+            let num_slots = r.len_prefix(1)?;
+            let column = (0..num_slots)
+                .map(|_| read_str(&mut r))
+                .collect::<Result<Vec<_>, _>>()?;
+            let num_present = r.len_prefix(5)?;
+            if num_present > num_slots {
+                return Err(r.corrupt(format!(
+                    "platform {p}: {num_present} present signals in {num_slots} slots"
+                )));
             }
+            if num_shards == 0 && num_present != num_slots {
+                return Err(r.corrupt(format!(
+                    "platform {p}: unsliced population with only {num_present} of {num_slots} signals"
+                )));
+            }
+            let mut side = vec![UserSignals::empty(); num_slots];
+            let mut mask = vec![false; num_slots];
+            let mut prev: Option<u32> = None;
+            for _ in 0..num_present {
+                let slot = r.u32()?;
+                if (slot as usize) >= num_slots {
+                    return Err(
+                        r.corrupt(format!("platform {p}: present slot {slot} out of range"))
+                    );
+                }
+                if prev.is_some_and(|q| slot <= q) {
+                    return Err(r.corrupt(format!(
+                        "platform {p}: present slots out of order at {slot}"
+                    )));
+                }
+                prev = Some(slot);
+                let sig = codec::read_signals(&mut r)?;
+                if sig.username != column[slot as usize] {
+                    return Err(r.corrupt(format!(
+                        "platform {p} slot {slot}: signal username disagrees with column"
+                    )));
+                }
+                side[slot as usize] = sig;
+                mask[slot as usize] = true;
+            }
+            per_platform.push(side);
+            present.push(mask);
+            usernames.push(column);
         }
         r.set_section("population graphs");
         let mut graphs = Vec::with_capacity(num_platforms);
@@ -477,6 +464,13 @@ mod tests {
         // Canonical: re-encoding the decode yields identical bytes, which
         // pins every field (floats included) bit-for-bit.
         assert_eq!(back.to_bytes(), bytes);
+        // Any other version — an older header included — is refused.
+        let mut old = bytes;
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            PopulationArtifact::from_bytes(&old),
+            Err(ModelIoError::UnsupportedVersion { found: 1, max: 2 })
+        ));
     }
 
     #[test]
@@ -541,37 +535,6 @@ mod tests {
             slice.slice_for_shard(0, 2, &pair_task()),
             Err(NetError::Protocol(_))
         ));
-    }
-
-    #[test]
-    fn version_1_bodies_still_load() {
-        let (signals, graphs) = small_world();
-        let art = PopulationArtifact::from_signals(&signals, &graphs, 0xC0FFEE);
-        // Hand-encode the v1 layout: dense signals, no topology header,
-        // no username columns.
-        let mut body = BytesMut::with_capacity(64);
-        body.put_u64_le(art.extractor_fingerprint);
-        body.put_u32_le(art.window_days);
-        body.put_u64_le(art.per_platform.len() as u64);
-        for side in &art.per_platform {
-            body.put_u64_le(side.len() as u64);
-            for sig in side {
-                codec::put_signals(&mut body, sig);
-            }
-        }
-        for graph in &art.graphs {
-            codec::put_graph(&mut body, graph);
-        }
-        let body = body.freeze().to_vec();
-        let mut w = BytesMut::with_capacity(64);
-        w.put_slice(&MAGIC);
-        w.put_u16_le(1);
-        w.put_u64_le(fnv1a(&body));
-        w.put_slice(&body);
-        let back = PopulationArtifact::from_bytes(&w.freeze().to_vec()).unwrap();
-        // The decode upgrades in place: same content as a v2 encode.
-        assert_eq!((back.shard, back.num_shards), (0, 0));
-        assert_eq!(back.to_bytes(), art.to_bytes());
     }
 
     #[test]

@@ -494,7 +494,18 @@ fn exhausted_mutation_transients_converge_via_dial_replay() {
     assert_eq!(idx, total);
     let st = eng.status(1).expect("status");
     assert_eq!(st.applied_seq, 1, "replay delivered the op to shard 1");
+    // An empty batch is a coordinator-side no-op: the fleet stays in
+    // epoch lockstep and no sequence number is spent.
+    assert!(eng
+        .insert_batch_with_edges(1, Vec::new())
+        .expect("empty batch")
+        .is_empty());
     eng.assert_epochs().expect("epoch lockstep");
+    assert_eq!(
+        eng.status(0).expect("status").applied_seq,
+        1,
+        "no seq spent"
+    );
 
     let mut single = LinkageEngine::new(w.trained.model.clone(), &w.signals, graphs(&w.dataset))
         .expect("single");

@@ -311,6 +311,21 @@ fn process_sharded_matches_thread_sharded_and_single_bitwise() {
         );
         dist.remove_account(1, 5).expect("dist remove");
         sharded.remove_account(1, 5).expect("threads remove");
+        // An empty batch is a no-op in both topologies: no slot, no
+        // sequence number, no epoch.
+        assert!(dist
+            .insert_batch_with_edges(1, Vec::new())
+            .expect("dist empty batch")
+            .is_empty());
+        assert!(sharded
+            .insert_batch_with_edges(1, Vec::new())
+            .expect("threads empty batch")
+            .is_empty());
+        assert_eq!(
+            dist.epoch(),
+            sharded.snapshot().epoch(),
+            "coordinator epoch == thread-sharded epoch"
+        );
 
         // Epoch lockstep across every process, asserted over the wire.
         dist.assert_epochs().expect("epoch lockstep");

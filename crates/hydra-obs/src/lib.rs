@@ -700,6 +700,9 @@ mod tests {
 
     #[test]
     fn disabled_is_inert() {
+        // Sibling tests install the registry process-wide; hold their lock
+        // so "nothing installed" is what this test actually observes.
+        let _no_scope = lock_tolerant(install_lock());
         assert!(!enabled());
         counter_add("c", 1);
         gauge_set("g", 1);

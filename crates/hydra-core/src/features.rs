@@ -100,6 +100,34 @@ impl PairFeatures {
 // One `u64` bitmask must cover every feature dimension.
 const _: () = assert!(FEATURE_DIM <= 64, "missing bitmask is a u64");
 
+/// Bitmask of the `len` dimensions starting at `offset`.
+const fn dims(offset: usize, len: usize) -> u64 {
+    ((1u64 << len) - 1) << offset
+}
+
+/// Widen a dimension set to whole **units** — the pieces of a row that are
+/// computed independently of each other: the attribute block, the
+/// topic / genre / sentiment / style blocks (one scoring pass each, however
+/// many of their dims are wanted), and every other dim on its own (face,
+/// each sensor × scale). Idempotent; bits at or above [`FEATURE_DIM`] are
+/// dropped.
+pub(crate) fn units_covering(want: u64) -> u64 {
+    const BLOCKS: [u64; 5] = [
+        dims(ATTR_OFFSET, NUM_ATTRS),
+        dims(TOPIC_OFFSET, DIST_SCALES.len()),
+        dims(GENRE_OFFSET, DIST_SCALES.len()),
+        dims(SENTI_OFFSET, DIST_SCALES.len()),
+        dims(STYLE_OFFSET, STYLE_KS.len()),
+    ];
+    const SINGLES: u64 = dims(FACE_OFFSET, 1)
+        | dims(LOCATION_OFFSET, SENSOR_SCALES.len())
+        | dims(MEDIA_OFFSET, SENSOR_SCALES.len());
+    BLOCKS
+        .iter()
+        .filter(|&&block| want & block != 0)
+        .fold(want & SINGLES, |units, &block| units | block)
+}
+
 /// Contiguous struct-of-arrays storage for pair features: a flat
 /// `rows × FEATURE_DIM` value buffer plus one missing-bitmask `u64` per
 /// row. This is the hot-path representation — one allocation for the whole
@@ -333,56 +361,73 @@ impl FeatureExtractor {
     /// callers should use [`FeatureExtractor::features_for_pairs`].
     pub fn pair_features(&self, a: &UserSignals, b: &UserSignals) -> PairFeatures {
         let mut values = vec![0.0; FEATURE_DIM];
-        let mask = self.pair_features_into(a, b, None, &mut values);
+        let mask = self.pair_features_into(a, b, None, u64::MAX, &mut values);
         PairFeatures {
             values,
             missing: (0..FEATURE_DIM).map(|k| mask >> k & 1 == 1).collect(),
         }
     }
 
-    /// Allocation-lean core: write the similarity vector into `values`
-    /// (which must be `FEATURE_DIM` long; it is fully overwritten) and
-    /// return the missing bitmask. When `buckets` carries the two accounts'
-    /// pre-bucketed series, the distribution blocks reuse them — otherwise
-    /// both sides are bucketed on the fly; the resulting floats are
-    /// bit-identical either way.
+    /// Allocation-lean core: write the wanted part of the similarity vector
+    /// into `values` (which must be `FEATURE_DIM` long) and return its
+    /// missing bitmask. `want` uses the mask's bit layout and is widened to
+    /// whole units ([`units_covering`]); exactly those dims are overwritten
+    /// and may appear in the returned mask, every other dim of `values` is
+    /// left as it was, and a unit nobody wants costs nothing. All-ones
+    /// (`u64::MAX`) asks for the full row. A dim's value and mask bit do not
+    /// depend on what else is wanted. When `buckets` carries the two
+    /// accounts' pre-bucketed series, the distribution blocks reuse them —
+    /// otherwise both sides are bucketed on the fly; the resulting floats
+    /// are bit-identical either way.
     pub fn pair_features_into(
         &self,
         a: &UserSignals,
         b: &UserSignals,
         buckets: Option<(&AccountBuckets, &AccountBuckets)>,
+        want: u64,
         values: &mut [f64],
     ) -> u64 {
         assert_eq!(values.len(), FEATURE_DIM, "row width");
-        values.iter_mut().for_each(|v| *v = 0.0);
+        let want = units_covering(want);
+        for (k, v) in values.iter_mut().enumerate() {
+            if want >> k & 1 == 1 {
+                *v = 0.0;
+            }
+        }
+        let wants = |unit: u64| want & unit != 0;
         let mut mask = 0u64;
 
         // --- attributes (Eq. 3) ------------------------------------------
-        for kind in ALL_ATTRS {
-            let k = kind.index();
-            match (a.attrs[k], b.attrs[k]) {
-                (Some(x), Some(y)) => {
-                    // Importance-weighted match, rescaled so a perfect match
-                    // on the most discriminative attribute approaches 1.
-                    values[ATTR_OFFSET + k] = if x == y {
-                        self.importance.weights[k] * NUM_ATTRS as f64
-                    } else {
-                        0.0
-                    };
+        if wants(dims(ATTR_OFFSET, NUM_ATTRS)) {
+            for kind in ALL_ATTRS {
+                let k = kind.index();
+                match (a.attrs[k], b.attrs[k]) {
+                    (Some(x), Some(y)) => {
+                        // Importance-weighted match, rescaled so a perfect
+                        // match on the most discriminative attribute
+                        // approaches 1.
+                        values[ATTR_OFFSET + k] = if x == y {
+                            self.importance.weights[k] * NUM_ATTRS as f64
+                        } else {
+                            0.0
+                        };
+                    }
+                    _ => mask |= 1 << (ATTR_OFFSET + k),
                 }
-                _ => mask |= 1 << (ATTR_OFFSET + k),
             }
         }
 
         // --- face (Figure 4) ----------------------------------------------
-        match match_profile_images(
-            a.image.as_ref(),
-            b.image.as_ref(),
-            &self.config.detector,
-            &self.config.classifier,
-        ) {
-            FaceMatchOutcome::Score(s) => values[FACE_OFFSET] = s,
-            FaceMatchOutcome::Aborted(_) => mask |= 1 << FACE_OFFSET,
+        if wants(dims(FACE_OFFSET, 1)) {
+            match match_profile_images(
+                a.image.as_ref(),
+                b.image.as_ref(),
+                &self.config.detector,
+                &self.config.classifier,
+            ) {
+                FaceMatchOutcome::Score(s) => values[FACE_OFFSET] = s,
+                FaceMatchOutcome::Aborted(_) => mask |= 1 << FACE_OFFSET,
+            }
         }
 
         // --- multi-scale distribution similarities (Figure 5) --------------
@@ -402,6 +447,9 @@ impl FeatureExtractor {
                     (GENRE_OFFSET, &ba.genre, &bb.genre),
                     (SENTI_OFFSET, &ba.senti, &bb.senti),
                 ] {
+                    if !wants(dims(offset, DIST_SCALES.len())) {
+                        continue;
+                    }
                     let (sims, counts) =
                         multi_scale_similarity_cached(sa, sb, self.config.dist_kernel);
                     dist_block(offset, &sims, &counts, &mut mask);
@@ -413,6 +461,9 @@ impl FeatureExtractor {
                     (GENRE_OFFSET, &a.genre_days, &b.genre_days),
                     (SENTI_OFFSET, &a.senti_days, &b.senti_days),
                 ] {
+                    if !wants(dims(offset, DIST_SCALES.len())) {
+                        continue;
+                    }
                     let (sims, counts) = multi_scale_series_similarity(
                         da,
                         db,
@@ -425,88 +476,95 @@ impl FeatureExtractor {
         }
 
         // --- style (Eq. 4) --------------------------------------------------
-        if a.style.words.is_empty() || b.style.words.is_empty() {
-            for k in 0..STYLE_KS.len() {
-                mask |= 1 << (STYLE_OFFSET + k);
-            }
-        } else {
-            for (k, &kk) in STYLE_KS.iter().enumerate() {
-                values[STYLE_OFFSET + k] = style_similarity(&a.style, &b.style, kk);
+        if wants(dims(STYLE_OFFSET, STYLE_KS.len())) {
+            if a.style.words.is_empty() || b.style.words.is_empty() {
+                mask |= dims(STYLE_OFFSET, STYLE_KS.len());
+            } else {
+                for (k, &kk) in STYLE_KS.iter().enumerate() {
+                    values[STYLE_OFFSET + k] = style_similarity(&a.style, &b.style, kk);
+                }
             }
         }
 
         // --- multi-resolution sensors (Eq. 5 / Figure 6) --------------------
+        // Each sensor × scale is one scan, run only when its dim is wanted.
+        let mut put = |dim: usize, (v, active): (f64, usize)| {
+            if active == 0 {
+                mask |= 1 << dim;
+            } else {
+                values[dim] = v;
+            }
+        };
+        let (q, lambda) = (self.config.q, self.config.lambda);
         match buckets {
             Some((ba, bb)) => {
                 // Pre-indexed windows: per-pair cost is proportional to the
                 // two sides' active windows, not the full scan range.
-                for (s, _) in SENSOR_SCALES.iter().enumerate() {
-                    let (v, active) = scan_resolution_indexed(
-                        &self.config.location_sensor,
-                        &a.checkins,
-                        &b.checkins,
-                        &ba.checkins.per_scale[s],
-                        &bb.checkins.per_scale[s],
-                        ba.checkins.total_windows[s],
-                        self.config.q,
-                        self.config.lambda,
-                    );
-                    if active == 0 {
-                        mask |= 1 << (LOCATION_OFFSET + s);
-                    } else {
-                        values[LOCATION_OFFSET + s] = v;
+                for s in 0..SENSOR_SCALES.len() {
+                    if wants(1 << (LOCATION_OFFSET + s)) {
+                        put(
+                            LOCATION_OFFSET + s,
+                            scan_resolution_indexed(
+                                &self.config.location_sensor,
+                                &a.checkins,
+                                &b.checkins,
+                                &ba.checkins.per_scale[s],
+                                &bb.checkins.per_scale[s],
+                                ba.checkins.total_windows[s],
+                                q,
+                                lambda,
+                            ),
+                        );
                     }
-                    let (v, active) = scan_resolution_indexed(
-                        &self.config.media_sensor,
-                        &a.media,
-                        &b.media,
-                        &ba.media.per_scale[s],
-                        &bb.media.per_scale[s],
-                        ba.media.total_windows[s],
-                        self.config.q,
-                        self.config.lambda,
-                    );
-                    if active == 0 {
-                        mask |= 1 << (MEDIA_OFFSET + s);
-                    } else {
-                        values[MEDIA_OFFSET + s] = v;
+                    if wants(1 << (MEDIA_OFFSET + s)) {
+                        put(
+                            MEDIA_OFFSET + s,
+                            scan_resolution_indexed(
+                                &self.config.media_sensor,
+                                &a.media,
+                                &b.media,
+                                &ba.media.per_scale[s],
+                                &bb.media.per_scale[s],
+                                ba.media.total_windows[s],
+                                q,
+                                lambda,
+                            ),
+                        );
                     }
                 }
             }
             None => {
                 let horizon = days(self.window_days as i64);
                 for (s, &scale) in SENSOR_SCALES.iter().enumerate() {
-                    let (v, active) = scan_resolution(
-                        &self.config.location_sensor,
-                        &a.checkins,
-                        &b.checkins,
-                        0,
-                        horizon,
-                        scale,
-                        self.config.q,
-                        self.config.lambda,
-                    );
-                    if active == 0 {
-                        mask |= 1 << (LOCATION_OFFSET + s);
-                    } else {
-                        values[LOCATION_OFFSET + s] = v;
+                    if wants(1 << (LOCATION_OFFSET + s)) {
+                        put(
+                            LOCATION_OFFSET + s,
+                            scan_resolution(
+                                &self.config.location_sensor,
+                                &a.checkins,
+                                &b.checkins,
+                                0,
+                                horizon,
+                                scale,
+                                q,
+                                lambda,
+                            ),
+                        );
                     }
-                }
-                for (s, &scale) in SENSOR_SCALES.iter().enumerate() {
-                    let (v, active) = scan_resolution(
-                        &self.config.media_sensor,
-                        &a.media,
-                        &b.media,
-                        0,
-                        horizon,
-                        scale,
-                        self.config.q,
-                        self.config.lambda,
-                    );
-                    if active == 0 {
-                        mask |= 1 << (MEDIA_OFFSET + s);
-                    } else {
-                        values[MEDIA_OFFSET + s] = v;
+                    if wants(1 << (MEDIA_OFFSET + s)) {
+                        put(
+                            MEDIA_OFFSET + s,
+                            scan_resolution(
+                                &self.config.media_sensor,
+                                &a.media,
+                                &b.media,
+                                0,
+                                horizon,
+                                scale,
+                                q,
+                                lambda,
+                            ),
+                        );
                     }
                 }
             }
@@ -562,7 +620,7 @@ impl FeatureExtractor {
                 let buckets =
                     caches.map(|(cl, cr)| (&cl.accounts[i as usize], &cr.accounts[j as usize]));
                 let mut values = [0.0f64; FEATURE_DIM];
-                let mask = self.pair_features_into(a, b, buckets, &mut values);
+                let mask = self.pair_features_into(a, b, buckets, u64::MAX, &mut values);
                 (values, mask)
             });
         let mut fm = FeatureMatrix::with_capacity(pairs.len());
@@ -591,6 +649,7 @@ impl FeatureExtractor {
                 left.signal(i),
                 right.signal(j),
                 Some((left.buckets(i), right.buckets(j))),
+                u64::MAX,
                 &mut values,
             );
             fm.push_row(&values, mask);
@@ -634,6 +693,29 @@ mod tests {
         assert_eq!(LOCATION_OFFSET, 30);
         assert_eq!(MEDIA_OFFSET, 35);
         assert_eq!(MEDIA_OFFSET + SENSOR_SCALES.len(), FEATURE_DIM);
+    }
+
+    #[test]
+    fn units_cover_whole_blocks_and_single_dims() {
+        assert_eq!(units_covering(0), 0);
+        assert_eq!(units_covering(u64::MAX), dims(0, FEATURE_DIM));
+        // One attribute asks for the attribute block; face stays out of it.
+        assert_eq!(units_covering(1 << 3), dims(ATTR_OFFSET, NUM_ATTRS));
+        // Face and each sensor × scale are their own unit.
+        let singles = 1 << FACE_OFFSET | 1 << (LOCATION_OFFSET + 2) | 1 << MEDIA_OFFSET;
+        assert_eq!(units_covering(singles), singles);
+        // One scale of a distribution block asks for all six; idempotent.
+        let genre = units_covering(1 << (GENRE_OFFSET + 4));
+        assert_eq!(genre, dims(GENRE_OFFSET, DIST_SCALES.len()));
+        assert_eq!(units_covering(genre), genre);
+        // Every dim belongs to exactly one unit.
+        for k in 0..FEATURE_DIM {
+            let unit = units_covering(1 << k);
+            assert!(unit >> k & 1 == 1, "dim {k} outside its unit");
+            for j in (0..FEATURE_DIM).filter(|j| unit >> j & 1 == 1) {
+                assert_eq!(units_covering(1 << j), unit, "dims {k} and {j}");
+            }
+        }
     }
 
     #[test]

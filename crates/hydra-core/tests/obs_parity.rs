@@ -17,9 +17,13 @@
 //!   and mirror into `serve.*` obs counters when collection is on;
 //! * **(d)** the stale-temp sweep on artifact load is counted and the
 //!   swept paths are surfaced through
-//!   [`hydra_core::artifact::swept_temp_paths`].
+//!   [`hydra_core::artifact::swept_temp_paths`];
+//! * **(e)** an Eq. 18 fill reports the friend pairs it evaluated and the
+//!   dims it scored for them (`fill.friend_pairs`, `fill.friend_dims`).
 
 use hydra_core::engine::LinkageEngine;
+use hydra_core::features::{AttributeImportance, FeatureConfig, FeatureExtractor, FEATURE_DIM};
+use hydra_core::missing::{FillStrategy, MissingFiller};
 use hydra_core::model::{Hydra, HydraConfig, LinkagePrediction, PairTask, TrainedHydra};
 use hydra_core::shard::ShardedEngine;
 use hydra_core::signals::{SignalConfig, Signals};
@@ -236,4 +240,42 @@ fn stale_temp_sweep_is_counted_and_surfaced() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// (e) Fill accounting: one `fill_matrix` call adds the friend pairs it
+/// evaluated and the dims it scored for them.
+#[test]
+fn fill_counters_report_friend_pairs_and_dims() {
+    let (dataset, signals) = world(30, 0xF111);
+    let fx = FeatureExtractor::new(
+        FeatureConfig::default(),
+        AttributeImportance::default(),
+        dataset.config.window_days,
+    );
+    let (left, right) = (&signals.per_platform[0], &signals.per_platform[1]);
+    let pairs: Vec<(u32, u32)> = (0..dataset.num_persons() as u32).map(|i| (i, i)).collect();
+    let mut feats = fx.features_for_pairs(&pairs, left, right, None);
+
+    let scope = hydra_obs::install();
+    let mut filler = MissingFiller::new(
+        &fx,
+        left,
+        right,
+        &dataset.platforms[0].graph,
+        &dataset.platforms[1].graph,
+    );
+    filler.fill_matrix(&pairs, &mut feats, FillStrategy::CoreNetwork);
+    let snap = hydra_obs::snapshot();
+    drop(scope);
+
+    // The other tests of this binary fill too while they train, possibly
+    // under this scope: bounds, not equalities.
+    let friend_pairs = snap.counters.get("fill.friend_pairs").copied().unwrap_or(0);
+    let friend_dims = snap.counters.get("fill.friend_dims").copied().unwrap_or(0);
+    assert!(filler.cache_size() > 0, "no friend pair evaluated");
+    assert!(friend_pairs >= filler.cache_size() as u64);
+    assert!(
+        (friend_pairs..=friend_pairs * FEATURE_DIM as u64).contains(&friend_dims),
+        "{friend_dims} dims for {friend_pairs} friend pairs"
+    );
 }

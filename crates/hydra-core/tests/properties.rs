@@ -24,8 +24,69 @@ fn world(seed: u64) -> (Dataset, Signals) {
     (dataset, signals)
 }
 
+/// A world with the Fig. 15 missingness axes cranked, so sensor, face and
+/// attribute dims really go missing and every unit of a row gets skipped in
+/// some draw.
+fn sparse_world(seed: u64) -> (Dataset, Signals) {
+    let mut config = DatasetConfig::english(40, seed);
+    for p in &mut config.platforms {
+        p.missing_multiplier *= 1.5;
+        p.image_prob *= 0.5;
+        p.checkin_rate *= 0.08;
+        p.media_rate *= 0.08;
+    }
+    let dataset = Dataset::generate(config);
+    let signals = Signals::extract(
+        &dataset,
+        &SignalConfig {
+            lda_iterations: 6,
+            infer_iterations: 3,
+            ..Default::default()
+        },
+    );
+    (dataset, signals)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn wanted_dims_equal_the_full_row_bit_for_bit(
+        seed in 0u64..3,
+        draws in proptest::collection::vec(
+            (0usize..40, 0usize..40, proptest::collection::vec(0usize..FEATURE_DIM, 0..6)),
+            16,
+        ),
+    ) {
+        const UNTOUCHED: f64 = -7.75;
+        let (dataset, signals) = sparse_world(seed);
+        let fx = FeatureExtractor::new(
+            FeatureConfig::default(),
+            AttributeImportance::default(),
+            dataset.config.window_days,
+        );
+        let caches = [0, 1].map(|p| fx.profile_cache(&signals.per_platform[p]));
+        for (i, j, dims) in draws {
+            let (a, b) = (signals.account(0, i), signals.account(1, j));
+            let want = dims.iter().fold(0u64, |w, &k| w | 1 << k);
+            for buckets in [Some((&caches[0].accounts[i], &caches[1].accounts[j])), None] {
+                let mut full = [UNTOUCHED; FEATURE_DIM];
+                let full_mask = fx.pair_features_into(a, b, buckets, u64::MAX, &mut full);
+                let mut part = [UNTOUCHED; FEATURE_DIM];
+                let part_mask = fx.pair_features_into(a, b, buckets, want, &mut part);
+                for k in 0..FEATURE_DIM {
+                    // Wanted, or sharing a unit with a wanted dim: scored.
+                    let scored = want >> k & 1 == 1 || part[k].to_bits() != UNTOUCHED.to_bits();
+                    if scored {
+                        prop_assert_eq!(part[k].to_bits(), full[k].to_bits(), "dim {} value", k);
+                        prop_assert_eq!(part_mask >> k & 1, full_mask >> k & 1, "dim {} mask", k);
+                    } else {
+                        prop_assert_eq!(part_mask >> k & 1, 0, "dim {} masked but unscored", k);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn pair_features_are_finite_bounded_and_symmetric_enough(

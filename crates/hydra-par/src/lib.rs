@@ -11,7 +11,10 @@
 //! else the `HYDRA_THREADS` env var (clamped to ≥ 1), else
 //! `std::thread::available_parallelism()`. With one thread every combinator
 //! degrades to a plain sequential loop with zero spawn overhead, which
-//! keeps single-core benchmarks honest.
+//! keeps single-core benchmarks honest. With `t` threads the caller is one
+//! of the `t` workers and `t - 1` are spawned: a fan-out never waits on the
+//! scheduler to place a thread before its first item runs, which keeps
+//! short batches (tens of milliseconds) steady from one call to the next.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -87,26 +90,27 @@ where
     let block = (n / (threads * 4)).max(1);
     let slots = SendSlice(out.as_mut_ptr());
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let start = cursor.fetch_add(block, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + block).min(n);
-                for i in start..end {
-                    let v = f(i, &items[i]);
-                    // SAFETY: each index is claimed exactly once via the
-                    // atomic cursor, so no two threads write the same slot,
-                    // and the scope outlives all writes.
-                    unsafe { *slots.0.add(i) = Some(v) };
-                }
-            });
+    let work = || loop {
+        let start = cursor.fetch_add(block, Ordering::Relaxed);
+        if start >= n {
+            break;
         }
+        let end = (start + block).min(n);
+        for i in start..end {
+            let v = f(i, &items[i]);
+            // SAFETY: each index is claimed exactly once via the atomic
+            // cursor, so no two threads write the same slot, and the scope
+            // outlives all writes.
+            unsafe { slots.write(i, v) };
+        }
+    };
+    // The caller is one of the workers: it is already running on a core,
+    // so only `threads - 1` spawns have to be placed by the scheduler.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
 
     out.into_iter()
@@ -118,6 +122,13 @@ where
 /// argued at the single write per claimed index in [`par_map`].
 struct SendSlice<U>(*mut Option<U>);
 unsafe impl<U: Send> Sync for SendSlice<U> {}
+
+impl<U> SendSlice<U> {
+    /// SAFETY: `i` is in bounds and no other thread touches slot `i`.
+    unsafe fn write(&self, i: usize, v: U) {
+        *self.0.add(i) = Some(v);
+    }
+}
 
 /// [`par_map`] with per-item panic isolation: each `f(i, t)` runs under
 /// `catch_unwind`, so one panicking item yields `Err(message)` in its slot
@@ -211,20 +222,20 @@ where
         .into_iter()
         .map(|c| std::sync::Mutex::new(Some(c)))
         .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            let cells = &cells;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let (c, chunk) = cells[i].lock().unwrap().take().expect("chunk claimed once");
-                f(c, chunk);
-            });
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= cells.len() {
+            break;
         }
+        let (c, chunk) = cells[i].lock().unwrap().take().expect("chunk claimed once");
+        f(c, chunk);
+    };
+    // The caller works too, as in [`par_map_threads`].
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
@@ -284,6 +295,27 @@ mod tests {
             .map(|(i, x)| x.wrapping_mul(0x9E3779B9) ^ i as u64)
             .collect();
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        let spawned = Mutex::new(HashSet::new());
+        let items: Vec<u32> = (0..4000).collect();
+        let note = || {
+            let id = std::thread::current().id();
+            if id != caller {
+                spawned.lock().unwrap().insert(id);
+            }
+        };
+        par_map_threads(4, &items, |_, _| note());
+        assert!(spawned.lock().unwrap().len() <= 3);
+        spawned.lock().unwrap().clear();
+        let mut data = vec![0u8; 4000];
+        par_chunks_mut_threads(4, &mut data, 10, |_, _| note());
+        assert!(spawned.lock().unwrap().len() <= 3);
     }
 
     #[test]

@@ -75,61 +75,6 @@ pub fn all7_setting(num_persons: usize, seed: u64) -> Setting {
     s
 }
 
-/// The trained serving world behind the `serve/*` stages of the
-/// `pipeline` bench AND the `snapshot_bytes` memory-accounting binary —
-/// one definition, so the latency and memory numbers merged side by side
-/// into `BENCH_pipeline.json` always describe the same population, seed,
-/// signal config, and labels.
-pub fn serve_bench_world() -> (
-    hydra_datagen::Dataset,
-    hydra_core::Signals,
-    hydra_core::model::TrainedHydra,
-) {
-    let (dataset, signals, _, trained) = serve_bench_world_with_extractor();
-    (dataset, signals, trained)
-}
-
-/// [`serve_bench_world`] plus the frozen [`SignalExtractor`] behind it —
-/// the `distributed_bench` binary needs the extractor to write the
-/// serving + population artifacts its shard processes cold-start from.
-pub fn serve_bench_world_with_extractor() -> (
-    hydra_datagen::Dataset,
-    hydra_core::Signals,
-    hydra_core::ingest::SignalExtractor,
-    hydra_core::model::TrainedHydra,
-) {
-    use hydra_core::model::{Hydra, HydraConfig, PairTask};
-    use hydra_core::SignalConfig;
-
-    let n = ((100.0 * scale_factor()).round() as usize).max(20);
-    let dataset = hydra_datagen::Dataset::generate(DatasetConfig::english(n, 47));
-    let (signals, extractor) = hydra_core::Signals::extract_with_extractor(
-        &dataset,
-        &SignalConfig {
-            lda_iterations: 10,
-            infer_iterations: 4,
-            ..Default::default()
-        },
-    );
-    let mut labels: Vec<(u32, u32, bool)> = (0..(n as u32) / 5).map(|i| (i, i, true)).collect();
-    for i in 0..(n as u32) / 5 {
-        labels.push((i, (i + n as u32 / 2) % n as u32, false));
-    }
-    let trained = Hydra::new(HydraConfig::default())
-        .fit(
-            &dataset,
-            &signals,
-            vec![PairTask {
-                left_platform: 0,
-                right_platform: 1,
-                labels,
-                unlabeled_whitelist: None,
-            }],
-        )
-        .expect("serve-bench fit");
-    (dataset, signals, extractor, trained)
-}
-
 /// Output directory for series CSVs (`results/`, created on demand).
 pub fn out_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -235,11 +235,6 @@ impl FeatureMatrix {
     pub fn values_flat(&self) -> &[f64] {
         &self.data
     }
-
-    /// Copy all rows into a dense matrix (`len × FEATURE_DIM`).
-    pub fn to_mat(&self) -> hydra_linalg::dense::Mat {
-        hydra_linalg::dense::Mat::from_vec(self.len(), FEATURE_DIM, self.data.clone())
-    }
 }
 
 /// Relative attribute importance learned from labeled pairs (Eq. 3):

@@ -565,6 +565,9 @@ impl SignalExtractor {
                     order - 1
                 )));
             }
+            // `order` is unchecked input, so `ctx_len` is too: four bytes
+            // per char must be there before any are reserved.
+            r.need(ctx_len.saturating_mul(4))?;
             let mut ctx = Vec::with_capacity(ctx_len);
             for _ in 0..ctx_len {
                 ctx.push(read_char(&mut r)?);
@@ -878,6 +881,41 @@ mod tests {
             loaded.username_rarity("xq_zw_9").to_bits(),
             extractor.username_rarity("xq_zw_9").to_bits(),
         );
+    }
+
+    #[test]
+    fn ngram_context_length_is_checked_against_the_bytes_left() {
+        let (_, _, extractor) = world();
+        let mut payload = extractor.encode_payload();
+        // The n-gram section closes the payload: order | delta | trained_on
+        // | num_contexts | first context's length | ...
+        let lm = &extractor.username_lm;
+        let mut header = Vec::new();
+        header.extend((lm.order() as u64).to_le_bytes());
+        header.extend(lm.smoothing_delta().to_le_bytes());
+        header.extend((lm.trained_on() as u64).to_le_bytes());
+        let at = payload
+            .windows(header.len())
+            .rposition(|w| w == header)
+            .expect("n-gram header");
+        // An order and a first context that agree on 2^32 - 1 chars.
+        payload[at..at + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        payload[at + 32..at + 36].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(VERSION.to_le_bytes());
+        bytes.push(KIND_EXTRACTOR);
+        bytes.extend(fnv1a(&payload).to_le_bytes());
+        bytes.extend((payload.len() as u64).to_le_bytes());
+        bytes.extend(payload);
+        match SignalExtractor::from_bytes(&bytes) {
+            Err(ModelIoError::Truncated { needed, .. }) => {
+                assert_eq!(needed, u32::MAX as usize * 4)
+            }
+            other => panic!(
+                "expected the length itself to be refused, got {:?}",
+                other.err()
+            ),
+        }
     }
 
     #[test]

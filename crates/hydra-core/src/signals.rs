@@ -339,10 +339,11 @@ impl AccountBuckets {
 /// Per-platform cache of [`AccountBuckets`], built once per side and reused
 /// by candidate-pair feature assembly and Eq.-18 friend-pair filling.
 ///
-/// The cache is **incremental**: the serving layer keeps one alive per
-/// platform and extends it with [`ProfileCache::insert_account`] as new
-/// accounts arrive after training (the build parameters are retained so
-/// inserts bucket exactly like the original build).
+/// The build parameters are retained so accounts arriving after training
+/// bucket exactly like the original build: the serving layer's
+/// [`ProfileSnapshot`](crate::snapshot::ProfileSnapshot) holds one cache
+/// per platform as its immutable base and buckets its ingest tail through
+/// [`ProfileCache::bucket_for`].
 #[derive(Debug, Clone)]
 pub struct ProfileCache {
     /// One entry per account, index-aligned with the signals slice.
@@ -417,32 +418,6 @@ impl ProfileCache {
     pub fn bucket_for(&self, sig: &UserSignals) -> AccountBuckets {
         let horizon = hydra_temporal::days(self.window_days as i64);
         Self::bucket_account(sig, &self.scales, &self.sensor_scales, horizon)
-    }
-
-    /// Append one account's buckets (index = previous [`Self::len`]),
-    /// using the scales and window this cache was built with — the entry is
-    /// bit-identical to what a full rebuild over the grown side would hold.
-    pub fn insert_account(&mut self, sig: &UserSignals) -> u32 {
-        let entry = self.bucket_for(sig);
-        self.accounts.push(entry);
-        (self.accounts.len() - 1) as u32
-    }
-
-    /// Release a removed account's bucket storage. The slot stays (indices
-    /// of later accounts are stable) but holds empty buckets; callers must
-    /// not feature-extract against a removed account.
-    ///
-    /// Note the serving engine deliberately does **not** call this on
-    /// [`remove_account`](crate::engine::LinkageEngine::remove_account):
-    /// a de-listed account's profile stays part of the Eq. 18 core-network
-    /// snapshot, so blanking its buckets would shift neighbors' filled
-    /// features. Reclaim memory only alongside a full snapshot rebuild.
-    pub fn remove_account(&mut self, account: u32) {
-        if let Some(slot) = self.accounts.get_mut(account as usize) {
-            let horizon = hydra_temporal::days(self.window_days as i64);
-            let empty = UserSignals::empty();
-            *slot = Self::bucket_account(&empty, &self.scales, &self.sensor_scales, horizon);
-        }
     }
 
     /// Number of cached accounts.

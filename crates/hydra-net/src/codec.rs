@@ -171,6 +171,12 @@ fn read_media(r: &mut Reader) -> Result<Timeline<MediaItem>, ModelIoError> {
     Ok(Timeline::from_events(events))
 }
 
+/// The fewest bytes [`put_signals`] can write (a blank account): person,
+/// username prefix, tagged attr slots, image tag, three day-series of two
+/// prefixes each, then the style, embedding, check-in and media prefixes.
+/// A count of encoded accounts is bounded by this, not by one byte each.
+pub(crate) const MIN_SIGNALS_BYTES: usize = 4 + 8 + 9 * NUM_ATTRS + 1 + 3 * 16 + 4 * 8;
+
 /// Encode one account's full extracted profile.
 pub fn put_signals(w: &mut BytesMut, sig: &UserSignals) {
     w.put_u32_le(sig.person);
@@ -448,6 +454,13 @@ mod tests {
         let back = read_signals(&mut r).unwrap();
         assert_eq!(r.remaining(), 0, "codec consumed everything");
         back
+    }
+
+    #[test]
+    fn min_signals_bytes_is_the_blank_account_encoding() {
+        let mut w = BytesMut::with_capacity(64);
+        put_signals(&mut w, &UserSignals::empty());
+        assert_eq!(w.freeze().len(), MIN_SIGNALS_BYTES);
     }
 
     #[test]

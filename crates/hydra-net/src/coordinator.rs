@@ -234,6 +234,51 @@ fn expect_ok(s: usize, reply: Message) -> Result<(), NetError> {
     }
 }
 
+/// The fleet's published epoch as the coordinator has observed it. Every
+/// replica consumes the oplog in order and answers each op alike, so the
+/// first answer to a seq — to the broadcast or to a dial-replay — decides
+/// whether that op published an epoch (an applied insert batch publishes
+/// one, exactly like the in-process snapshot epoch); later answers to the
+/// same seq change nothing. An op whose broadcast reached no shard is
+/// therefore counted when replay delivers it, not when it was issued.
+#[derive(Debug, Clone, Copy, Default)]
+struct EpochClock {
+    /// The epoch of a replica that has consumed the log up to `settled_seq`.
+    epoch: u64,
+    /// Highest seq whose outcome is counted into `epoch`.
+    settled_seq: u64,
+}
+
+impl EpochClock {
+    /// A shard's self-report. One that has consumed further than anything
+    /// observed so far applied ops whose acks were lost; adopt it.
+    fn adopt(&mut self, st: &StatusInfo) {
+        if st.applied_seq > self.settled_seq {
+            *self = EpochClock {
+                epoch: st.epoch,
+                settled_seq: st.applied_seq,
+            };
+        }
+    }
+
+    /// One shard's answer to the logged mutation `op` carrying `seq`.
+    fn observe(&mut self, seq: u64, op: &Message, outcome: &MutOutcome) {
+        let published = match outcome {
+            MutOutcome::Applied { .. } => matches!(op, Message::InsertBatch { .. }),
+            // A transient consumed nothing, and `AlreadyApplied` does not
+            // say how the seq was consumed.
+            MutOutcome::Rejected(EngineError::Transient { .. }) | MutOutcome::AlreadyApplied => {
+                return
+            }
+            MutOutcome::Rejected(_) => false,
+        };
+        if seq > self.settled_seq {
+            self.settled_seq = seq;
+            self.epoch += u64::from(published);
+        }
+    }
+}
+
 /// The coordinator: scatter-gather serving over N shard-server
 /// processes, presenting the same query/mutation surface as the
 /// in-process engines.
@@ -258,9 +303,8 @@ pub struct DistributedEngine {
     base_seq: u64,
     /// Every mutation issued, for replaying reconnecting shards.
     oplog: Vec<Message>,
-    /// The epoch every in-sync replica is at (advances once per applied
-    /// insert batch, exactly like the in-process snapshot epoch).
-    epoch: u64,
+    /// The epoch every in-sync replica is at.
+    clock: EpochClock,
     /// Always-on coordinator-side failure accounting (degraded queries,
     /// per-shard failures, quarantine/recovery/retry events), mirrored
     /// into `net.*` hydra-obs counters when collection is installed.
@@ -277,7 +321,7 @@ impl std::fmt::Debug for DistributedEngine {
                 &self.conns.iter().filter(|c| c.is_some()).count(),
             )
             .field("next_seq", &self.next_seq)
-            .field("epoch", &self.epoch)
+            .field("epoch", &self.clock.epoch)
             .finish_non_exhaustive()
     }
 }
@@ -305,7 +349,7 @@ impl DistributedEngine {
             next_seq: 1,
             base_seq: 1,
             oplog: Vec::new(),
-            epoch: 0,
+            clock: EpochClock::default(),
             health: HealthCounters::new("net", n),
         };
         let mut statuses = Vec::with_capacity(n);
@@ -321,7 +365,10 @@ impl DistributedEngine {
                     )));
                 }
             }
-            eng.epoch = first.epoch;
+            eng.clock = EpochClock {
+                epoch: first.epoch,
+                settled_seq: first.applied_seq,
+            };
             eng.next_seq = first.applied_seq + 1;
             eng.base_seq = eng.next_seq;
         }
@@ -340,7 +387,7 @@ impl DistributedEngine {
 
     /// The epoch every in-sync replica is at.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.clock.epoch
     }
 
     /// The shard process owning `account` — the shared
@@ -386,17 +433,21 @@ impl DistributedEngine {
             }
             other => return Err(unexpected("HelloAck", &other)),
         };
+        self.clock.adopt(&st);
         // Replay the suffix this peer missed. (Bypasses the write/read
         // injection sites — see the module docs.)
         let start = (st.applied_seq + 1).saturating_sub(self.base_seq) as usize;
-        for op in self.oplog.iter().skip(start) {
+        for (i, op) in self.oplog.iter().enumerate().skip(start) {
             let mut schedule = self.retry.clone();
             loop {
                 op.encode().write_to(stream.as_mut())?;
                 match read_message(stream.as_mut())? {
                     Message::MutResp(MutOutcome::Rejected(EngineError::Transient { .. }))
                         if schedule.back_off() => {}
-                    Message::MutResp(_) => break,
+                    Message::MutResp(outcome) => {
+                        self.clock.observe(self.base_seq + i as u64, op, &outcome);
+                        break;
+                    }
                     Message::Refuse(r) => {
                         return Err(NetError::Protocol(format!("replay refused: {r:?}")))
                     }
@@ -701,6 +752,7 @@ impl DistributedEngine {
     /// the first shard that applied.
     fn broadcast(&mut self, op: Message) -> Result<Vec<u32>, NetError> {
         self.oplog.push(op.clone());
+        let seq = self.next_seq;
         self.next_seq += 1;
         let n = self.endpoints.len();
         let mut bases: Option<Vec<u32>> = None;
@@ -717,6 +769,9 @@ impl DistributedEngine {
                     other => break other,
                 }
             };
+            if let Ok(Message::MutResp(outcome)) = &outcome {
+                self.clock.observe(seq, &op, outcome);
+            }
             match outcome {
                 Ok(Message::MutResp(MutOutcome::Applied { bases: b })) => {
                     if let Some(prev) = &bases {
@@ -751,7 +806,8 @@ impl DistributedEngine {
             Some(bases) => Ok(bases),
             // Every shard was unreachable. The op stays in the oplog —
             // dial-replay delivers it when shards return, converging to
-            // the applied state — but the caller sees failed-for-now.
+            // the applied state (the epoch follows then, see
+            // `EpochClock`) — but the caller sees failed-for-now.
             None => Err(NetError::Degraded {
                 failed: unreachable,
             }),
@@ -796,9 +852,7 @@ impl DistributedEngine {
             platform: platform as u32,
             accounts,
         };
-        let bases = self.broadcast(op)?;
-        self.epoch += 1;
-        Ok(bases)
+        self.broadcast(op)
     }
 
     /// De-list an account across every shard.
@@ -816,7 +870,7 @@ impl DistributedEngine {
     /// the cross-process form of the epoch-lockstep invariant the
     /// in-process engine keeps by construction.
     pub fn assert_epochs(&mut self) -> Result<(), NetError> {
-        let epoch = self.epoch;
+        let epoch = self.clock.epoch;
         for s in 0..self.endpoints.len() {
             let reply = self.request(s, &Message::AdoptEpoch { epoch })?;
             expect_ok(s, reply)?;

@@ -442,7 +442,8 @@ impl Message {
             kind::INSERT_BATCH => {
                 let seq = r.u64()?;
                 let platform = r.u32()?;
-                let n = r.len_prefix(1)?;
+                // Each account is a profile plus its edge-count prefix.
+                let n = r.len_prefix(codec::MIN_SIGNALS_BYTES + 8)?;
                 let mut accounts = Vec::with_capacity(n);
                 for _ in 0..n {
                     let sig = codec::read_signals(&mut r)?;
@@ -644,6 +645,26 @@ mod tests {
             matches!(err, ModelIoError::Corrupt { ref what, .. } if what.contains("trailing")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn insert_batch_count_is_bounded_by_the_smallest_account() {
+        // seq | platform | count, then one filler byte per claimed account:
+        // enough for a per-byte bound, far short of any real account.
+        let claimed = 4096usize;
+        let mut payload = Vec::new();
+        payload.extend(1u64.to_le_bytes());
+        payload.extend(1u32.to_le_bytes());
+        payload.extend((claimed as u64).to_le_bytes());
+        payload.resize(payload.len() + claimed, 0);
+        let bytes = Frame::new(kind::INSERT_BATCH, payload).to_bytes();
+        let (frame, _) = Frame::from_bytes(&bytes).expect("checksum-valid frame");
+        match Message::decode(&frame) {
+            Err(ModelIoError::Truncated { needed, .. }) => {
+                assert_eq!(needed, claimed * (codec::MIN_SIGNALS_BYTES + 8))
+            }
+            other => panic!("expected the count itself to be refused, got {other:?}"),
+        }
     }
 
     #[test]

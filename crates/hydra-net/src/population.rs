@@ -337,7 +337,8 @@ impl PopulationArtifact {
         let mut usernames = Vec::with_capacity(num_platforms);
         r.set_section("population signals");
         for p in 0..num_platforms {
-            let num_slots = r.len_prefix(1)?;
+            // One `put_str` username per slot: an 8-byte prefix at least.
+            let num_slots = r.len_prefix(8)?;
             let column = (0..num_slots)
                 .map(|_| read_str(&mut r))
                 .collect::<Result<Vec<_>, _>>()?;
@@ -449,6 +450,28 @@ mod tests {
             left_platform: 0,
             right_platform: 1,
         }]
+    }
+
+    #[test]
+    fn slot_count_is_bounded_by_the_smallest_username() {
+        // One platform claiming a slot per filler byte: enough for a
+        // per-byte bound, an eighth of what that many usernames need.
+        let claimed = 4096usize;
+        let mut body = Vec::new();
+        body.extend(0xC0FFEEu64.to_le_bytes());
+        body.extend(64u32.to_le_bytes());
+        body.extend([0u8; 8]); // shard 0 of an unsliced population
+        body.extend(1u64.to_le_bytes());
+        body.extend((claimed as u64).to_le_bytes());
+        body.resize(body.len() + claimed, 0);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(VERSION.to_le_bytes());
+        bytes.extend(fnv1a(&body).to_le_bytes());
+        bytes.extend(body);
+        match PopulationArtifact::from_bytes(&bytes) {
+            Err(ModelIoError::Truncated { needed, .. }) => assert_eq!(needed, claimed * 8),
+            other => panic!("expected the count itself to be refused, got {other:?}"),
+        }
     }
 
     #[test]

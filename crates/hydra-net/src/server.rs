@@ -334,11 +334,8 @@ impl ShardServer {
         loop {
             let frame = match Frame::read_from(stream) {
                 Ok(frame) => frame,
-                // Clean EOF between frames: the peer hung up.
-                Err(NetError::Decode(hydra_core::ModelIoError::Truncated {
-                    offset: 0, ..
-                })) => return Ok(ServeEnd::Disconnected),
-                // Mid-frame truncation: torn connection, also a hang-up.
+                // EOF between frames is the peer hanging up cleanly, EOF
+                // mid-frame a torn connection: a hang-up either way.
                 Err(NetError::Decode(hydra_core::ModelIoError::Truncated { .. })) => {
                     return Ok(ServeEnd::Disconnected)
                 }
@@ -399,24 +396,28 @@ impl ShardServer {
                 }
                 let listener = std::os::unix::net::UnixListener::bind(path)?;
                 on_ready(endpoint);
-                loop {
-                    let (mut stream, _) = listener.accept()?;
-                    if self.serve(&mut stream)? == ServeEnd::Shutdown {
-                        std::fs::remove_file(path).ok();
-                        return Ok(());
-                    }
-                }
+                self.serve_until_shutdown(|| listener.accept().map(|(stream, _)| stream))?;
+                std::fs::remove_file(path).ok();
+                Ok(())
             }
             Endpoint::Tcp(addr) => {
                 let listener = std::net::TcpListener::bind(addr.as_str())?;
-                let bound = Endpoint::Tcp(listener.local_addr()?.to_string());
-                on_ready(&bound);
-                loop {
-                    let (mut stream, _) = listener.accept()?;
-                    if self.serve(&mut stream)? == ServeEnd::Shutdown {
-                        return Ok(());
-                    }
-                }
+                on_ready(&Endpoint::Tcp(listener.local_addr()?.to_string()));
+                self.serve_until_shutdown(|| listener.accept().map(|(stream, _)| stream))
+            }
+        }
+    }
+
+    /// Accept and serve one connection after another until a peer sends
+    /// `Shutdown`.
+    fn serve_until_shutdown<S: Read + Write>(
+        &mut self,
+        mut accept: impl FnMut() -> std::io::Result<S>,
+    ) -> Result<(), NetError> {
+        loop {
+            let mut stream = accept()?;
+            if self.serve(&mut stream)? == ServeEnd::Shutdown {
+                return Ok(());
             }
         }
     }

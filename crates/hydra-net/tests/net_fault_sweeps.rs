@@ -745,3 +745,67 @@ fn hung_accept_dial_times_out_and_degrades_deterministically() {
         },
     );
 }
+
+#[test]
+fn coordinator_epoch_follows_the_fleet_after_an_all_unreachable_insert() {
+    let _serial = serial();
+    let w = world();
+    let total = w.dataset.num_accounts(1) as u32;
+    let sig = w
+        .extractor
+        .extract_account(AccountSource::account(&w.dataset, 1, 0), total);
+
+    // Every shard misses the insert for the whole retry budget, so the op
+    // is logged and its seq spent with no ack to count. Three ways there:
+    // no dial succeeds and replay later applies the op; the same with an
+    // edge every replica rejects on replay; every write lands but every
+    // reply is lost, so the shards applied what nobody heard them ack.
+    let budget = u64::from(retry().max_attempts);
+    let cases: [(&str, &str, Vec<(u32, f64)>, u64); 3] = [
+        ("applied on replay", "connect", vec![(0, 2.0)], 1),
+        ("rejected on replay", "connect", vec![(100_000, 1.0)], 0),
+        ("applied, acks lost", "read", vec![(0, 2.0)], 1),
+    ];
+    for (name, site, edges, published) in cases {
+        let net = spawn_net(w);
+        let mut eng =
+            DistributedEngine::connect(w.trained.model.clone(), net.endpoints.clone(), retry())
+                .expect("connect");
+        let before = eng.epoch();
+
+        let mut plan = FaultPlan::new();
+        for s in 0..NUM_SHARDS {
+            if site == "connect" {
+                // Drop the live connection so the retries have to dial.
+                plan = plan.one_shot(&format!("net.write.{s}"), 0, FaultKind::Transient);
+            }
+            for hit in 0..budget {
+                plan = plan.one_shot(&format!("net.{site}.{s}"), hit, FaultKind::Transient);
+            }
+        }
+        let scope = install(plan);
+        let err = eng
+            .insert_account_with_edges(1, sig.clone(), &edges)
+            .expect_err("no shard acknowledged");
+        drop(scope);
+        assert!(
+            matches!(&err, NetError::Degraded { failed } if failed == &[0, 1]),
+            "{name}: {err}"
+        );
+
+        // The next call re-dials every shard; replay delivers the op to
+        // those that never saw it.
+        for o in eng.query_batch_outcome(0, &PROBE).expect("healed query") {
+            assert!(o.is_complete(), "{name}: healed query is complete");
+        }
+        assert_eq!(eng.epoch(), before + published, "{name}: coordinator");
+        for s in 0..NUM_SHARDS {
+            let st = eng.status(s).expect("status");
+            assert_eq!(st.applied_seq, 1, "{name}: shard {s} consumed the op");
+            assert_eq!(st.epoch, eng.epoch(), "{name}: shard {s} epoch");
+        }
+        eng.assert_epochs()
+            .unwrap_or_else(|e| panic!("{name}: epoch lockstep: {e}"));
+        teardown(eng, net);
+    }
+}

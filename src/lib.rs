@@ -69,9 +69,8 @@
 //!   raw accounts over `hydra-par`, and
 //!   `ShardedEngine::insert_batch_with_edges` registers k accounts under
 //!   **one** atomically-published snapshot epoch (all-or-nothing, identical
-//!   post-state to k sequential inserts) — at scale 2 on one core the
-//!   Tables batch path sustains ~31k accounts/s vs the ~5.6k/s per-account
-//!   sampler baseline (~32 µs vs ~177 µs per account).
+//!   post-state to k sequential inserts); `ingest_accounts_per_s` on the
+//!   benchmark's `ingest_backfill` workload is this path's throughput.
 //! * [`core::shard::ShardedEngine`] — partitions the candidate population
 //!   over N per-shard blocking indexes (hash-by-account routing, global
 //!   stop-gram statistics, deterministic rank merges) that all read **one**

@@ -72,7 +72,7 @@ fn main() {
             for r in 0..masked.rows() {
                 masked.row_mut(r)[lo..hi].iter_mut().for_each(|v| *v = 0.0);
             }
-            trained.model.solution.expansion = masked;
+            trained.model.solution.set_expansion(masked);
         }
         let prf = evaluate(
             &trained.predict(0),

@@ -13,6 +13,7 @@
 //! auto-generated (noisy, large) label set feeds an SMO-trained SVM over
 //! username features.
 
+use crate::svm_b::support_expansion;
 use crate::username_features::username_pair_features;
 use crate::{LinkageMethod, LinkageTask};
 use hydra_core::model::LinkagePrediction;
@@ -137,6 +138,7 @@ impl LinkageMethod for AliasDisamb {
 
         // --- score the universe through the learned expansion --------------
         let kernel = Kernel::Rbf { gamma: 1.0 };
+        let expansion = support_expansion(&xs, &ys, &result.beta);
         task.candidates
             .iter()
             .map(|c| {
@@ -144,12 +146,7 @@ impl LinkageMethod for AliasDisamb {
                     &task.left[c.left as usize].username,
                     &task.right[c.right as usize].username,
                 );
-                let mut score = -result.rho;
-                for t in 0..xs.len() {
-                    if result.beta[t] > 1e-12 {
-                        score += ys[t] * result.beta[t] * kernel.eval(&xs[t], &f);
-                    }
-                }
+                let score = expansion.sum(kernel, -result.rho, &f);
                 LinkagePrediction {
                     left: c.left,
                     right: c.right,

@@ -9,7 +9,7 @@
 
 use crate::{LinkageMethod, LinkageTask};
 use hydra_core::model::LinkagePrediction;
-use hydra_linalg::kernels::{kernel_matrix, Kernel};
+use hydra_linalg::kernels::{kernel_matrix, Kernel, PackedExpansion};
 use hydra_linalg::qp::{SmoOptions, SmoSolver};
 use std::collections::HashMap;
 
@@ -97,16 +97,12 @@ impl LinkageMethod for SvmB {
         .solve()
         .expect("smo converges");
 
+        let expansion = support_expansion(&xs, &ys, &result.beta);
         task.candidates
             .iter()
             .enumerate()
             .map(|(ci, c)| {
-                let mut score = -result.rho;
-                for t in 0..xs.len() {
-                    if result.beta[t] > 1e-12 {
-                        score += ys[t] * result.beta[t] * kernel.eval(&xs[t], features.row(ci));
-                    }
-                }
+                let score = expansion.sum(kernel, -result.rho, features.row(ci));
                 LinkagePrediction {
                     left: c.left,
                     right: c.right,
@@ -116,6 +112,16 @@ impl LinkageMethod for SvmB {
             })
             .collect()
     }
+}
+
+/// The support vectors of a trained C-SVM as the terms of its decision
+/// function `Σ_t y_t β_t K(x_t, x) − ρ` (the shape of Eq. 12).
+pub(crate) fn support_expansion(xs: &[Vec<f64>], ys: &[f64], beta: &[f64]) -> PackedExpansion {
+    PackedExpansion::pack(
+        (0..xs.len())
+            .filter(|&t| beta[t] > 1e-12)
+            .map(|t| (ys[t] * beta[t], xs[t].as_slice())),
+    )
 }
 
 #[cfg(test)]

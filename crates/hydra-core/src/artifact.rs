@@ -28,7 +28,7 @@
 use crate::candidates::CandidateConfig;
 use crate::features::{AttributeImportance, FeatureConfig, FeatureExtractor};
 use crate::missing::FillStrategy;
-use crate::moo::{MooSolution, MooSolverKind};
+use crate::moo::{pack_expansion, MooSolution, MooSolverKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hydra_datagen::attributes::NUM_ATTRS;
 use hydra_linalg::dense::Mat;
@@ -702,6 +702,7 @@ impl LinkageModel {
 
         Ok(LinkageModel {
             solution: MooSolution {
+                packed: pack_expansion(&alpha, &expansion),
                 alpha,
                 bias,
                 kernel,
@@ -757,12 +758,15 @@ mod tests {
     use super::*;
 
     fn toy_model() -> LinkageModel {
+        let alpha = vec![0.25, -1.5, 3.0e-17];
+        let expansion = Mat::from_vec(3, 2, vec![1.0, 2.0, 0.1 + 0.2, -0.0, f64::MIN, 5.5]);
         LinkageModel {
             solution: MooSolution {
-                alpha: vec![0.25, -1.5, 3.0e-17],
+                packed: pack_expansion(&alpha, &expansion),
+                alpha,
                 bias: -0.125,
                 kernel: Kernel::Rbf { gamma: 0.5 },
-                expansion: Mat::from_vec(3, 2, vec![1.0, 2.0, 0.1 + 0.2, -0.0, f64::MIN, 5.5]),
+                expansion,
                 objective_d: 1.25,
                 objective_s: 0.0625,
                 smo_iterations: 421,

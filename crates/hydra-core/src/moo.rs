@@ -28,9 +28,26 @@
 //! strengthens structure consistency; large `p` over-weights it —
 //! reproducing the interior optimum of Figure 10 and the over-fitting
 //! mechanism of Section 6.4.
+//!
+//! # Prediction-time layout
+//!
+//! Scoring a pair is the Eq. 12 sum over every expansion row, and one row's
+//! kernel value is a dependent add chain over the feature dimensions: taken
+//! a row at a time the sum is latency-bound. A [`MooSolution`] therefore
+//! carries a [`PackedExpansion`] of its `α_a ≠ 0` rows — blocks of eight
+//! rows, dimension-major inside a block, tail block padded with coefficient
+//! 0 — and [`MooSolution::decision`] advances eight per-row accumulators
+//! together. Each lane performs exactly the operations `Kernel::eval`
+//! performs on its row, in the same order, and the `α·K` terms are added in
+//! row order starting from the bias, so every score is bit-identical to the
+//! row-at-a-time loop; only the order *between* rows' independent
+//! operations changes. The packed copy is derived wherever a solution is
+//! made ([`solve_with_kernel`], artifact load) and is not part of the
+//! artifact: it holds nothing `alpha` and `expansion` do not, and keeping
+//! it out leaves the wire format and its bytes unchanged.
 
 use hydra_linalg::dense::Mat;
-use hydra_linalg::kernels::{kernel_matrix_mat, Kernel};
+use hydra_linalg::kernels::{kernel_matrix_mat, Kernel, PackedExpansion};
 use hydra_linalg::qp::{SmoOptions, SmoSolver};
 use hydra_linalg::sparse::CsrMatrix;
 use hydra_linalg::{bicgstab_multi, BiCgStabOptions, Lu};
@@ -135,6 +152,13 @@ pub struct MooProblem {
 }
 
 /// A trained kernel expansion (Eq. 12).
+///
+/// `alpha` and `expansion` are `pub` only because `benchmark/` reads them;
+/// they are read-only after construction — [`MooSolution::decision`] walks
+/// a packed copy made from them (see the module doc), so assigning either
+/// field would leave that copy behind. Replace the rows through
+/// [`MooSolution::set_expansion`]. `bias` and `kernel` are read at call
+/// time and may be assigned.
 #[derive(Debug, Clone)]
 pub struct MooSolution {
     /// Expansion coefficients α over the expansion set.
@@ -159,23 +183,36 @@ pub struct MooSolution {
     /// Total BiCGStab iterations across all columns and rounds (0 on the
     /// dense path).
     pub iterative_iterations: usize,
+    /// `(alpha, expansion)` in prediction-time layout; derived, never
+    /// serialised.
+    pub(crate) packed: PackedExpansion,
+}
+
+/// The prediction-time copy of an expansion: `α_a ≠ 0` rows of `expansion`
+/// with their coefficients.
+pub(crate) fn pack_expansion(alpha: &[f64], expansion: &Mat) -> PackedExpansion {
+    assert_eq!(alpha.len(), expansion.rows(), "one α per expansion row");
+    PackedExpansion::pack(
+        alpha
+            .iter()
+            .enumerate()
+            .map(|(a, &c)| (c, expansion.row(a))),
+    )
 }
 
 impl MooSolution {
     /// Decision value `f(x) = Σ_a α_a K(x_a, x) + b` (Eq. 12).
+    ///
+    /// # Panics
+    /// Panics if `x` is not as wide as the expansion rows.
     pub fn decision(&self, x: &[f64]) -> f64 {
-        let mut f = self.bias;
-        for (i, a) in self.alpha.iter().enumerate() {
-            if *a != 0.0 {
-                f += a * self.kernel.eval(self.expansion.row(i), x);
-            }
-        }
-        f
+        self.packed.sum(self.kernel, self.bias, x)
     }
 
-    /// Batch decision values.
-    pub fn decide_all(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.decision(x)).collect()
+    /// Replace the expansion rows (one per α) and re-derive the packed copy.
+    pub fn set_expansion(&mut self, expansion: Mat) {
+        self.packed = pack_expansion(&self.alpha, &expansion);
+        self.expansion = expansion;
     }
 }
 
@@ -414,6 +451,7 @@ pub fn solve_with_kernel(
 
     let fit = last.expect("at least one round ran");
     Ok(MooSolution {
+        packed: pack_expansion(&fit.alpha, &problem.features),
         alpha: fit.alpha,
         bias: fit.bias,
         kernel: config.kernel,
@@ -955,6 +993,39 @@ mod tests {
                 assert!((fast[(i, j)] - slow[(i, j)]).abs() < 1e-12);
             }
         }
+    }
+
+    fn bare_solution(alpha: Vec<f64>, expansion: Mat) -> MooSolution {
+        MooSolution {
+            packed: pack_expansion(&alpha, &expansion),
+            alpha,
+            bias: -0.125,
+            kernel: Kernel::Rbf { gamma: 0.5 },
+            expansion,
+            objective_d: 0.0,
+            objective_s: 0.0,
+            smo_iterations: 0,
+            support_vectors: 0,
+            solver: MooSolverKind::DenseLu,
+            iterative_iterations: 0,
+        }
+    }
+
+    #[test]
+    fn decision_without_a_nonzero_alpha_is_exactly_the_bias() {
+        let bias = (-0.125f64).to_bits();
+        let empty = bare_solution(vec![], Mat::zeros(0, 0));
+        assert_eq!(empty.decision(&[0.5; 40]).to_bits(), bias);
+        let zeros = bare_solution(vec![0.0, -0.0, 0.0], Mat::zeros(3, 2));
+        assert_eq!(zeros.decision(&[0.5, 0.5]).to_bits(), bias);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn decision_panics_on_a_wrong_width_input() {
+        let p = toy_problem(true);
+        let sol = solve(&p, &MooConfig::default()).unwrap();
+        sol.decision(&[1.0, 0.9, 0.8]);
     }
 
     #[test]

@@ -142,16 +142,120 @@ pub fn kernel_matrix_mat_threads(kernel: Kernel, rows: &Mat, threads: usize) -> 
     k
 }
 
-/// Build the rectangular cross-kernel `K[i][j] = K(a[i], b[j])` used at
-/// prediction time (Eq. 12 evaluates the expansion at new pairs).
-pub fn cross_kernel_matrix(kernel: Kernel, a: &[Vec<f64>], b: &[Vec<f64>]) -> Mat {
-    let mut k = Mat::zeros(a.len(), b.len());
-    for (i, xi) in a.iter().enumerate() {
-        for (j, yj) in b.iter().enumerate() {
-            k[(i, j)] = kernel.eval(xi, yj);
+/// Rows per block of a [`PackedExpansion`].
+const LANES: usize = 8;
+
+/// The terms of a kernel expansion `init + Σ_a c_a·K(x_a, x)` (Eq. 12),
+/// stored the way the sum reads them.
+///
+/// Rows are grouped into blocks of [`LANES`]; inside a block the layout is
+/// dimension-major, so lane `j` of block `b` holds kept row `8b + j` and
+/// one step over a dimension advances eight independent per-row
+/// accumulators. Each lane performs exactly the operations [`Kernel::eval`]
+/// performs on its row, in the same order, and the terms are added in row
+/// order — [`PackedExpansion::sum`] is bit-identical to the row-at-a-time
+/// loop, only the rows no longer wait for each other.
+#[derive(Debug, Clone)]
+pub struct PackedExpansion {
+    /// Width of every kept row (0 when none was kept).
+    dim: usize,
+    /// Block `b`, dimension `d` at `b * dim + d`.
+    data: Vec<[f64; LANES]>,
+    /// Coefficients, one array per block; the tail block is padded with 0.
+    coef: Vec<[f64; LANES]>,
+}
+
+impl PackedExpansion {
+    /// Pack `(coefficient, row)` terms, dropping those whose coefficient is
+    /// exactly zero (the sum skips them anyway).
+    ///
+    /// # Panics
+    /// Panics if the kept rows differ in length.
+    pub fn pack<'a>(terms: impl IntoIterator<Item = (f64, &'a [f64])>) -> Self {
+        let kept: Vec<(f64, &[f64])> = terms.into_iter().filter(|&(c, _)| c != 0.0).collect();
+        let dim = kept.first().map_or(0, |(_, row)| row.len());
+        let blocks = kept.len().div_ceil(LANES);
+        let mut data = vec![[0.0; LANES]; blocks * dim];
+        let mut coef = vec![[0.0; LANES]; blocks];
+        for (i, (c, row)) in kept.into_iter().enumerate() {
+            assert_eq!(row.len(), dim, "packed expansion: ragged rows");
+            let (block, lane) = (i / LANES, i % LANES);
+            coef[block][lane] = c;
+            for (col, &v) in data[block * dim..].iter_mut().zip(row) {
+                col[lane] = v;
+            }
+        }
+        PackedExpansion { dim, data, coef }
+    }
+
+    /// `init + Σ_a c_a·K(x_a, x)` over the kept terms, in row order.
+    ///
+    /// # Panics
+    /// Panics if `x` is not as wide as the packed rows (an expansion with
+    /// no kept term accepts any `x`, as a loop over no rows would).
+    pub fn sum(&self, kernel: Kernel, init: f64, x: &[f64]) -> f64 {
+        if self.coef.is_empty() {
+            return init;
+        }
+        assert_eq!(self.dim, x.len(), "kernel eval: length mismatch");
+        let mut f = init;
+        for (b, coef) in self.coef.iter().enumerate() {
+            let k = kernel.eval_block(&self.data[b * self.dim..(b + 1) * self.dim], x);
+            for (&c, k) in coef.iter().zip(k) {
+                if c != 0.0 {
+                    f += c * k;
+                }
+            }
+        }
+        f
+    }
+}
+
+impl Kernel {
+    /// [`Kernel::eval`] of `x` against the [`LANES`] rows of one packed
+    /// block: arm for arm the same expressions, one accumulator per lane.
+    fn eval_block(&self, block: &[[f64; LANES]], x: &[f64]) -> [f64; LANES] {
+        match *self {
+            Kernel::Linear => fold_lanes(block, x, 0.0, |acc, a, b| acc + a * b),
+            Kernel::Rbf { gamma } => fold_lanes(block, x, 0.0, |acc, a, b| {
+                let d = a - b;
+                acc + d * d
+            })
+            .map(|sq| (-gamma * sq).exp()),
+            Kernel::ChiSquare => fold_lanes(block, x, 0.0, |acc, a, b| {
+                let s = a + b;
+                if s > 0.0 {
+                    acc + 2.0 * a * b / s
+                } else {
+                    acc
+                }
+            }),
+            // `eval` folds with `Iterator::sum`, whose starting value (the
+            // sign of its zero) belongs to std — ask for it.
+            Kernel::HistIntersection => {
+                fold_lanes(block, x, std::iter::empty::<f64>().sum(), |acc, a, b| {
+                    acc + a.min(b)
+                })
+            }
         }
     }
-    k
+}
+
+/// Fold `step(acc, row value, x value)` over the dimensions of one block,
+/// every lane from `init` — eight independent chains the CPU overlaps.
+fn fold_lanes(
+    block: &[[f64; LANES]],
+    x: &[f64],
+    init: f64,
+    step: impl Fn(f64, f64, f64) -> f64,
+) -> [f64; LANES] {
+    let mut acc = [init; LANES];
+    for (col, &b) in block.iter().zip(x) {
+        for (acc, &a) in acc.iter_mut().zip(col) {
+            *acc = step(*acc, a, b);
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -206,13 +310,23 @@ mod tests {
     }
 
     #[test]
-    fn cross_kernel_shape() {
-        let a = vec![vec![1.0], vec![2.0]];
-        let b = vec![vec![1.0], vec![2.0], vec![3.0]];
-        let k = cross_kernel_matrix(Kernel::Linear, &a, &b);
-        assert_eq!(k.rows(), 2);
-        assert_eq!(k.cols(), 3);
-        assert_eq!(k[(1, 2)], 6.0);
+    fn packed_sum_without_a_kept_term_is_exactly_init() {
+        let row = [1.0, 2.0];
+        for packed in [
+            PackedExpansion::pack(std::iter::empty()),
+            PackedExpansion::pack([(0.0, &row[..]), (-0.0, &row[..])]),
+        ] {
+            // No row is read, so no width is checked either.
+            let f = packed.sum(Kernel::Rbf { gamma: 0.5 }, -0.125, &[9.0; 5]);
+            assert_eq!(f.to_bits(), (-0.125f64).to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn packed_sum_panics_on_wrong_width() {
+        let row = [1.0, 2.0];
+        PackedExpansion::pack([(1.0, &row[..])]).sum(Kernel::Linear, 0.0, &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the numeric substrate.
 
 use hydra_linalg::dense::Mat;
-use hydra_linalg::kernels::{kernel_matrix, Kernel};
+use hydra_linalg::kernels::{kernel_matrix, Kernel, PackedExpansion};
 use hydra_linalg::sparse::CsrBuilder;
 use hydra_linalg::stats::{lq_pooling, max_pooling, sigmoid};
 use hydra_linalg::vec_ops;
@@ -82,6 +82,49 @@ proptest! {
         prop_assert!((k.eval(&x, &x) - 1.0).abs() < 1e-9);
         // Intersection never exceeds either self-similarity.
         prop_assert!(v <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn packed_expansion_sum_is_bitwise_the_row_at_a_time_loop(
+        n in 0usize..40,
+        dim in 1usize..50,
+        pool in proptest::collection::vec(0.0..1.0f64, 40 * 50),
+        x_pool in proptest::collection::vec(0.0..1.0f64, 50),
+        coef_pool in proptest::collection::vec((0u8..3, -2.0..2.0f64), 40),
+        init in -3.0..3.0f64,
+        gamma in 0.05..4.0f64,
+    ) {
+        // Similarities in [0, 1] with exact zeros (the chi-square arm
+        // branches on them); a third of the coefficients exactly zero;
+        // n < 8, n % 8 != 0 and n == 0 all occur.
+        let sparse = |v: f64| if v < 0.2 { 0.0 } else { v };
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|a| pool[a * dim..(a + 1) * dim].iter().map(|&v| sparse(v)).collect())
+            .collect();
+        let x: Vec<f64> = x_pool[..dim].iter().map(|&v| sparse(v)).collect();
+        let coef: Vec<f64> = coef_pool[..n]
+            .iter()
+            .map(|&(tag, c)| if tag == 0 { 0.0 } else { c })
+            .collect();
+        let packed = PackedExpansion::pack(coef.iter().copied().zip(rows.iter().map(Vec::as_slice)));
+        for kernel in [
+            Kernel::Linear,
+            Kernel::Rbf { gamma },
+            Kernel::ChiSquare,
+            Kernel::HistIntersection,
+        ] {
+            let mut reference = init;
+            for (a, row) in rows.iter().enumerate() {
+                if coef[a] != 0.0 {
+                    reference += coef[a] * kernel.eval(row, &x);
+                }
+            }
+            prop_assert_eq!(
+                packed.sum(kernel, init, &x).to_bits(),
+                reference.to_bits(),
+                "{:?} n={} dim={}", kernel, n, dim
+            );
+        }
     }
 
     #[test]

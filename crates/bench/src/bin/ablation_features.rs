@@ -1,7 +1,7 @@
 //! Ablation: contribution of each heterogeneous-behavior feature block.
 //!
-//! Not a paper figure — DESIGN.md commits to ablation benches for the
-//! design choices. We retrain HYDRA with one Section-5 feature block
+//! Not a paper figure: it measures what each design choice of Section 5
+//! buys. We retrain HYDRA with one Section-5 feature block
 //! zeroed out at a time (attributes / face / topic / genre / sentiment /
 //! style / location sensor / media sensor) and report the precision/recall
 //! deltas, quantifying how much each modality carries. The "all blocks"

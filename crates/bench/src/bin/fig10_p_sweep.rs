@@ -1,5 +1,7 @@
 //! Figure 10: precision and recall w.r.t. the utility exponent p (1..10),
-//! at the 1:5 labeled:unlabeled ratio and the optimal (γ_L, γ_M).
+//! at the 1:5 labeled:unlabeled ratio and `prepared.setting.hydra`'s default
+//! (γ_L, γ_M), not the paper's tuned optimum (its Section 7.1 grid search is
+//! ROADMAP item 20).
 //!
 //! Paper shape: both curves peak at an intermediate p (p = 6 for precision,
 //! p = 5 for recall) and degrade toward p = 10 as the dominant objective

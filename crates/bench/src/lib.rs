@@ -76,7 +76,7 @@ pub fn all7_setting(num_persons: usize, seed: u64) -> Setting {
 }
 
 /// Output directory for series CSVs (`results/`, created on demand).
-pub fn out_dir() -> PathBuf {
+fn out_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results");

@@ -83,7 +83,7 @@ fn attr_value(sig: &UserSignals, attr: usize) -> Option<u64> {
 
 impl Smash {
     /// Discover linkage points between the two sources.
-    pub fn discover(&self, left: &[UserSignals], right: &[UserSignals]) -> Vec<LinkagePoint> {
+    fn discover(&self, left: &[UserSignals], right: &[UserSignals]) -> Vec<LinkagePoint> {
         let mut points = Vec::new();
         for attr in 0..=NUM_ATTRS {
             if attr < NUM_ATTRS && !ALL_ATTRS.iter().any(|k| k.index() == attr) {

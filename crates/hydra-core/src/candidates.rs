@@ -42,7 +42,7 @@
 //! structure the serving layer ([`crate::engine`]) keeps warm with
 //! [`BlockingIndex::insert_account`] / [`BlockingIndex::remove_account`]
 //! while the batch path builds it once per fit. Both paths score a left
-//! account through the same [`score_left_account`] routine, so a serve-time
+//! account through the same `score_left_account` routine, so a serve-time
 //! `query` produces candidates byte-identical to batch generation.
 //!
 //! ## Candidate-scoring prefilter
@@ -373,7 +373,7 @@ impl BlockingIndex {
     /// `active_count` is decremented. A gram sitting just over the cap can
     /// therefore flip back to *unsuppressed* as removals thin its postings
     /// — the same flip a fresh rebuild would produce — and the sharded
-    /// path's global [`GramLimits`] mirrors the arithmetic with
+    /// path's global `GramLimits` mirrors the arithmetic with
     /// population-wide counts maintained by the same ±1 discipline. An
     /// emptied postings list is left in the map (a fresh build would lack
     /// the key); both probe as "no candidates", so the divergence is not

@@ -82,19 +82,6 @@ impl PairFeatures {
     pub fn observed(&self) -> usize {
         self.missing.iter().filter(|m| !**m).count()
     }
-
-    /// Fraction of dimensions missing.
-    pub fn missing_fraction(&self) -> f64 {
-        self.missing.iter().filter(|m| **m).count() as f64 / self.missing.len() as f64
-    }
-
-    /// Missing mask as a bitmask (bit `k` set ⇔ dimension `k` missing).
-    pub fn missing_mask(&self) -> u64 {
-        self.missing
-            .iter()
-            .enumerate()
-            .fold(0u64, |m, (k, &miss)| if miss { m | (1u64 << k) } else { m })
-    }
 }
 
 // One `u64` bitmask must cover every feature dimension.
@@ -192,30 +179,11 @@ impl FeatureMatrix {
         FEATURE_DIM - self.masks[i].count_ones() as usize
     }
 
-    /// Fraction of row `i`'s dimensions that are missing.
-    pub fn missing_fraction(&self, i: usize) -> f64 {
-        self.masks[i].count_ones() as f64 / FEATURE_DIM as f64
-    }
-
     /// Append a row.
     pub fn push_row(&mut self, values: &[f64], mask: u64) {
         assert_eq!(values.len(), FEATURE_DIM, "row width");
         self.data.extend_from_slice(values);
         self.masks.push(mask);
-    }
-
-    /// Append a [`PairFeatures`] view as a row.
-    pub fn push_pair(&mut self, pf: &PairFeatures) {
-        self.push_row(&pf.values, pf.missing_mask());
-    }
-
-    /// Materialize row `i` as an allocating per-pair view (round-trips
-    /// exactly with [`FeatureMatrix::push_pair`]).
-    pub fn pair_view(&self, i: usize) -> PairFeatures {
-        PairFeatures {
-            values: self.row(i).to_vec(),
-            missing: (0..FEATURE_DIM).map(|k| self.is_missing(i, k)).collect(),
-        }
     }
 
     /// Clear every row's missing mask (the HYDRA-Z zero-fill: missing dims
@@ -366,7 +334,7 @@ impl FeatureExtractor {
     /// Allocation-lean core: write the wanted part of the similarity vector
     /// into `values` (which must be `FEATURE_DIM` long) and return its
     /// missing bitmask. `want` uses the mask's bit layout and is widened to
-    /// whole units ([`units_covering`]); exactly those dims are overwritten
+    /// whole units (`units_covering`); exactly those dims are overwritten
     /// and may appear in the returned mask, every other dim of `values` is
     /// left as it was, and a unit nobody wants costs nothing. All-ones
     /// (`u64::MAX`) asks for the full row. A dim's value and mask bit do not
@@ -659,6 +627,13 @@ mod tests {
     use crate::signals::{SignalConfig, Signals};
     use hydra_datagen::{Dataset, DatasetConfig};
 
+    /// `pf`'s missing dims as a [`FeatureMatrix`] mask (bit `k` ⇔ dim `k`).
+    fn mask_of(pf: &PairFeatures) -> u64 {
+        (0..FEATURE_DIM)
+            .filter(|&k| pf.missing[k])
+            .fold(0, |m, k| m | 1 << k)
+    }
+
     fn setup() -> (Dataset, Signals, FeatureExtractor) {
         let d = Dataset::generate(DatasetConfig::english(40, 33));
         let s = Signals::extract(
@@ -791,7 +766,7 @@ mod tests {
         let mut fractions = Vec::new();
         for i in 0..d.num_persons() {
             let f = fx.pair_features(s.account(0, i), s.account(1, i));
-            fractions.push(f.missing_fraction());
+            fractions.push(1.0 - f.observed() as f64 / FEATURE_DIM as f64);
         }
         let mean: f64 = fractions.iter().sum::<f64>() / fractions.len() as f64;
         assert!(mean > 0.05, "expected real missingness, got {mean}");
@@ -816,15 +791,16 @@ mod tests {
         let mut views = Vec::new();
         for i in 0..d.num_persons().min(8) {
             let pf = fx.pair_features(s.account(0, i), s.account(1, i));
-            fm.push_pair(&pf);
+            fm.push_row(&pf.values, mask_of(&pf));
             views.push(pf);
         }
         assert_eq!(fm.len(), views.len());
         for (i, pf) in views.iter().enumerate() {
-            assert_eq!(&fm.pair_view(i), pf, "row {i} round trip");
-            assert_eq!(fm.mask(i), pf.missing_mask());
+            assert_eq!(fm.row(i), &pf.values[..], "row {i} round trip");
+            for k in 0..FEATURE_DIM {
+                assert_eq!(fm.is_missing(i, k), pf.missing[k], "row {i} dim {k}");
+            }
             assert_eq!(fm.observed(i), pf.observed());
-            assert!((fm.missing_fraction(i) - pf.missing_fraction()).abs() < 1e-15);
         }
         // Flat buffer is row-major and contiguous.
         assert_eq!(fm.values_flat().len(), fm.len() * FEATURE_DIM);
@@ -867,7 +843,7 @@ mod tests {
         for (r, &(i, j)) in pairs.iter().enumerate() {
             let direct = fx.pair_features(s.account(0, i as usize), s.account(1, j as usize));
             assert_eq!(cached.row(r), direct.values.as_slice(), "row {r} values");
-            assert_eq!(cached.mask(r), direct.missing_mask(), "row {r} mask");
+            assert_eq!(cached.mask(r), mask_of(&direct), "row {r} mask");
         }
     }
 

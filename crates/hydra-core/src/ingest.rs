@@ -1,7 +1,7 @@
 //! Online ingest: the frozen [`SignalExtractor`] artifact that folds a
 //! single raw account into the *trained* signal space.
 //!
-//! Batch extraction ([`Signals::extract_from`](crate::signals::Signals::extract_from))
+//! Batch extraction ([`Signals::extract`](crate::signals::Signals::extract))
 //! trains an LDA topic model, learns a sentiment lexicon, and snapshots the
 //! corpus vocabulary — then extracts every account against them. Serving a
 //! brand-new account (the paper's deployment story: accounts arrive
@@ -163,7 +163,7 @@ pub struct SignalExtractor {
 
 /// The corpus-trained pieces batch extraction needs (LDA + lexicon) —
 /// shared between [`SignalExtractor::fit`] and the batch-only path in
-/// [`crate::signals::Signals::extract_from`], which skips the
+/// [`crate::signals::Signals::extract`], which skips the
 /// extractor-specific extras (vocabulary snapshot clone, username LM).
 pub(crate) fn train_extraction_core<S: AccountSource + ?Sized>(
     source: &S,
@@ -282,13 +282,8 @@ impl SignalExtractor {
     /// point of the same posterior, over precomputed per-word tables). The
     /// choice is a runtime serving knob: it is never serialized, and the
     /// precomputed tables are (re)built lazily on first use.
-    pub fn set_fold_in_mode(&mut self, mode: FoldInMode) {
-        self.fold_in = mode;
-    }
-
-    /// Builder-style [`SignalExtractor::set_fold_in_mode`].
     pub fn with_fold_in_mode(mut self, mode: FoldInMode) -> Self {
-        self.set_fold_in_mode(mode);
+        self.fold_in = mode;
         self
     }
 
@@ -366,11 +361,6 @@ impl SignalExtractor {
     /// The corpus vocabulary snapshot.
     pub fn vocab(&self) -> &Vocabulary {
         &self.vocab
-    }
-
-    /// The username character n-gram model.
-    pub fn username_lm(&self) -> &CharNgramLm {
-        &self.username_lm
     }
 
     /// The extraction configuration this artifact was trained under.

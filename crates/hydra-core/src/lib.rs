@@ -144,9 +144,8 @@ pub use ingest::{RawAccount, ServingArtifact, SignalExtractor};
 pub use missing::FillStrategy;
 pub use model::{Hydra, HydraConfig, LinkagePrediction, TaskIndexError};
 pub use shard::{
-    candidate_merge_cmp, merge_scored_candidates, merge_shard_candidates, prediction_rank_cmp,
-    HealthCounters, QueryOutcome, RetryPolicy, ScoredCandidate, ShardFailure, ShardReplica,
-    ShardedEngine,
+    merge_scored_candidates, prediction_rank_cmp, HealthCounters, QueryOutcome, RetryPolicy,
+    ScoredCandidate, ShardFailure, ShardReplica, ShardedEngine,
 };
 pub use signals::{ProfileCache, SignalConfig, Signals, UserSignals};
 pub use snapshot::{PlatformProfiles, ProfileSnapshot};

@@ -244,36 +244,6 @@ impl<'a> MissingFiller<'a> {
         }
     }
 
-    /// Apply a fill strategy to a single row (`values` + missing bitmask).
-    pub fn fill_row(
-        &mut self,
-        pair: (u32, u32),
-        values: &mut [f64],
-        mask: &mut u64,
-        strategy: FillStrategy,
-    ) {
-        match strategy {
-            FillStrategy::Zero => {
-                // Unlike [`FeatureMatrix`] rows (which hold zeros at missing
-                // dims by construction), an arbitrary caller slice can carry
-                // stale values in masked positions — write the zeros.
-                for (k, v) in values.iter_mut().enumerate().take(64) {
-                    if *mask >> k & 1 == 1 {
-                        *v = 0.0;
-                    }
-                }
-                *mask = 0;
-            }
-            FillStrategy::CoreNetwork => {
-                assert_eq!(values.len(), FEATURE_DIM, "row width");
-                if *mask != 0 {
-                    self.fill_row_core(pair, values, *mask);
-                    *mask = 0;
-                }
-            }
-        }
-    }
-
     /// Top-3 interacting friends (descending interaction weight, ties by
     /// ascending id — [`hydra_graph::top_k_friends`]'s order), tolerating
     /// accounts outside the graph: serve-time inserts arrive after the
@@ -305,7 +275,7 @@ impl<'a> MissingFiller<'a> {
     /// Eq. 18 for one row: average each dim of `mask` over the friend pairs
     /// that observe it, asking every friend pair for `mask`'s units only.
     fn fill_row_core(&mut self, pair: (u32, u32), values: &mut [f64], mask: u64) {
-        // A `fill_row` caller's mask may carry bits above the row: not dims.
+        // A mask may carry bits above the row: not dims.
         let mask = mask & (u64::MAX >> (64 - FEATURE_DIM));
         let friends_l = match self.last_left {
             Some((l, friends)) if l == pair.0 => friends,
@@ -466,27 +436,6 @@ mod tests {
         assert!((0..fm.len()).all(|r| fm.mask(r) == 0));
         for (r, k) in missing_dims {
             assert_eq!(fm.row(r)[k], 0.0);
-        }
-    }
-
-    #[test]
-    fn zero_fill_row_zeroes_previously_masked_entries() {
-        // Regression: `fill_row` used to clear the mask without writing the
-        // zeros, which is only correct for rows holding the FeatureMatrix
-        // zeros-at-missing invariant. A caller slice with stale sentinels in
-        // the masked dims must come out zeroed.
-        let fx = fixture();
-        let mut filler = fx.filler();
-        let mut values = [7.75f64; FEATURE_DIM];
-        let mut mask: u64 = (1 << 0) | (1 << 5) | (1 << (FEATURE_DIM - 1));
-        filler.fill_row((0, 0), &mut values, &mut mask, FillStrategy::Zero);
-        assert_eq!(mask, 0);
-        for (k, v) in values.iter().enumerate() {
-            if k == 0 || k == 5 || k == FEATURE_DIM - 1 {
-                assert_eq!(*v, 0.0, "masked dim {k} still holds a sentinel");
-            } else {
-                assert_eq!(*v, 7.75, "observed dim {k} must be untouched");
-            }
         }
     }
 
@@ -727,24 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn single_row_fill_equals_matrix_fill() {
-        let fx = sparse_fixture();
-        let (pairs, base) = fx.true_pairs_matrix();
-        let mut want = base.clone();
-        fx.filler()
-            .fill_matrix(&pairs, &mut want, FillStrategy::CoreNetwork);
-        let mut filler = fx.filler();
-        let mut got = FeatureMatrix::with_capacity(pairs.len());
-        for (r, &pair) in pairs.iter().enumerate() {
-            let mut values = base.row(r).to_vec();
-            let mut mask = base.mask(r);
-            filler.fill_row(pair, &mut values, &mut mask, FillStrategy::CoreNetwork);
-            got.push_row(&values, mask);
-        }
-        assert_bit_equal(&got, &want, "fill_row vs fill_matrix");
-    }
-
-    #[test]
     #[should_panic(expected = "right cache window mismatch")]
     fn profile_cache_of_another_window_is_rejected() {
         // Regression: a cache bucketed over a different observation window
@@ -758,17 +689,5 @@ mod tests {
         );
         let right_cache = other_window.profile_cache(&fx.signals.per_platform[1]);
         let _ = fx.filler().with_profile_caches(&left_cache, &right_cache);
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn core_fill_row_rejects_a_short_row() {
-        // Regression: a short slice used to die on a bare index panic
-        // somewhere inside the fill.
-        let fx = fixture();
-        let mut values = [0.0f64; FEATURE_DIM - 1];
-        let mut mask = 1u64 << (FEATURE_DIM - 1);
-        fx.filler()
-            .fill_row((0, 0), &mut values, &mut mask, FillStrategy::CoreNetwork);
     }
 }

@@ -51,9 +51,6 @@ pub struct HydraConfig {
     pub feature: FeatureConfig,
     /// Candidate-generation thresholds.
     pub candidates: CandidateConfig,
-    /// Adopt rule-based pre-matched pairs as positive pseudo-labels
-    /// (Section 3's "pre-matched pairs by rule-based filtering").
-    pub use_pre_matched_labels: bool,
     /// Cap on unlabeled pairs entering the kernel expansion, per task.
     pub max_unlabeled_expansion: usize,
     /// Cap on labeled pairs entering the expansion, per task (class-balanced
@@ -74,7 +71,6 @@ impl Default for HydraConfig {
             fill: FillStrategy::CoreNetwork,
             feature: FeatureConfig::default(),
             candidates: CandidateConfig::default(),
-            use_pre_matched_labels: false,
             max_unlabeled_expansion: 600,
             max_labeled_per_task: usize::MAX,
             attr_epsilon: 0.01,
@@ -153,7 +149,7 @@ impl Hydra {
     }
 
     /// Fit on an account source. `signals` must come from
-    /// [`Signals::extract_from`] on the same source (kept separate so
+    /// [`Signals::extract`] on the same source (kept separate so
     /// experiment sweeps can reuse the expensive extraction across settings
     /// and methods).
     pub fn fit<S: AccountSource + ?Sized>(
@@ -245,18 +241,11 @@ impl Hydra {
             .with_profile_caches(left_cache, right_cache);
             filler.fill_matrix(&pairs, &mut feats, cfg.fill);
 
-            // Labeled set: ground truth + optional pre-matched pseudo-labels.
+            // Labeled set: the ground truth.
             let mut label_map: HashMap<usize, f64> = HashMap::new();
             for &(a, b, y) in &task.labels {
                 let ci = index[&(a, b)];
                 label_map.insert(ci, if y { 1.0 } else { -1.0 });
-            }
-            if cfg.use_pre_matched_labels {
-                for (ci, c) in cands.iter().enumerate() {
-                    if c.pre_matched {
-                        label_map.entry(ci).or_insert(1.0);
-                    }
-                }
             }
             // Class-balanced deterministic cap on the labeled expansion.
             let mut pos: Vec<usize> = label_map
@@ -450,7 +439,7 @@ impl TrainedHydra {
         self.model.expansion_size
     }
 
-    /// Number of labeled pairs used (including pseudo-labels).
+    /// Number of labeled pairs used.
     pub fn num_labeled(&self) -> usize {
         self.model.num_labeled
     }
@@ -611,7 +600,7 @@ mod tests {
         let trained = Hydra::new(HydraConfig::default())
             .fit(&dataset, &signals, vec![task])
             .expect("fit");
-        // Expansion = labeled only (pseudo-labels may add a few more).
+        // Expansion = labeled only.
         assert_eq!(trained.expansion_size(), trained.num_labeled());
     }
 }

@@ -55,7 +55,7 @@
 //!   into thread-local server replicas.
 //! * **Global bookkeeping everywhere** — every core tracks every account's
 //!   username, gram counts, and removal, whichever shards it holds:
-//!   each probe hands the shard index the global [`GramLimits`] (a shard
+//!   each probe hands the shard index the global `GramLimits` (a shard
 //!   suppresses exactly the stop-grams one full index would), and
 //!   left-side validation and removal errors are decided against the
 //!   global population, identically on every holder. Only the blocking
@@ -178,22 +178,22 @@ impl QueryOutcome {
 /// The deterministic order sharded serving merges per-shard candidates in:
 /// the engine's exact ranking — username similarity descending, ties by
 /// right index ascending. Per-shard account sets are disjoint, so `right`
-/// breaks every tie and the order is total. Public so the process-sharded
-/// coordinator (`hydra-net`) merges with literally the same code as the
-/// thread-sharded engine.
-pub fn candidate_merge_cmp(a: &CandidatePair, b: &CandidatePair) -> std::cmp::Ordering {
+/// breaks every tie and the order is total. The process-sharded
+/// coordinator (`hydra-net`) reaches it through [`merge_scored_candidates`],
+/// so it merges with literally the same code as the thread-sharded engine.
+fn candidate_merge_cmp(a: &CandidatePair, b: &CandidatePair) -> std::cmp::Ordering {
     b.username_sim
         .total_cmp(&a.username_sim)
         .then(a.right.cmp(&b.right))
 }
 
 /// Merge per-shard candidate lists into the global ranking: sort by
-/// [`candidate_merge_cmp`], truncate to the model's per-user cap. Every
-/// sharded serving path — threads in-process, processes over sockets —
-/// funnels through this one function, which makes "process-sharded ==
-/// thread-sharded == single, bitwise" a code-sharing fact rather than a
-/// re-implementation promise.
-pub fn merge_shard_candidates(
+/// [`candidate_merge_cmp`], truncate to the model's per-user cap. The
+/// in-process sharded paths funnel through this function and processes over
+/// sockets through [`merge_scored_candidates`], both on the one comparator,
+/// which makes "process-sharded == thread-sharded == single, bitwise" a
+/// code-sharing fact rather than a re-implementation promise.
+fn merge_shard_candidates(
     per_shard: impl IntoIterator<Item = CandidatePair>,
     max_per_user: usize,
 ) -> Vec<CandidatePair> {
@@ -227,7 +227,7 @@ pub struct ScoredCandidate {
 }
 
 /// Merge pre-scored per-shard contributions into the final ranked
-/// prediction list: candidate merge order ([`candidate_merge_cmp`]), the
+/// prediction list: candidate merge order (`candidate_merge_cmp`), the
 /// global `max_per_user` cap, then prediction rank order
 /// ([`prediction_rank_cmp`]) — the exact pipeline
 /// [`ShardedEngine::query`] runs in-process, with the scoring already done
@@ -329,14 +329,6 @@ impl HealthCounters {
     /// Queries answered degraded (at least one shard missing) so far.
     pub fn degraded_queries(&self) -> u64 {
         self.degraded_queries.load(Ordering::Relaxed)
-    }
-
-    /// Per-shard count of queries the shard failed to contribute to.
-    pub fn shard_failures(&self) -> Vec<u64> {
-        self.shard_failures
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// How many queries shard `s` failed to contribute to (0 for an

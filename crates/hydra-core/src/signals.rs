@@ -9,7 +9,6 @@
 //! Eq. 9.
 
 use crate::source::{AccountSource, AccountView};
-use hydra_datagen::Dataset;
 use hydra_linalg::kernels::Kernel;
 use hydra_linalg::vec_ops::normalize_l1;
 use hydra_temporal::{GeoPoint, MediaItem, Timeline, SECONDS_PER_DAY};
@@ -85,7 +84,7 @@ impl DaySeries {
 
     /// Long-term mean distribution over all active days (uniform over the
     /// empty series).
-    pub fn long_term_mean(&self, dim: usize) -> Vec<f64> {
+    fn long_term_mean(&self, dim: usize) -> Vec<f64> {
         let mut acc = vec![0.0; dim];
         for d in &self.dists {
             for (a, v) in acc.iter_mut().zip(d.iter()) {
@@ -376,7 +375,7 @@ impl ProfileCache {
     }
 
     /// [`ProfileCache::build`] with an explicit worker count.
-    pub fn build_threads(
+    fn build_threads(
         side: &[UserSignals],
         scales: &[u16],
         sensor_scales: &[u32],
@@ -550,21 +549,15 @@ pub struct Signals {
 }
 
 impl Signals {
-    /// Run the full extraction pipeline over a dataset (the
-    /// [`AccountSource`] impl of [`Dataset`]; kept as the concrete-type
-    /// entry point for existing callers).
-    pub fn extract(dataset: &Dataset, config: &SignalConfig) -> Signals {
-        Self::extract_from(dataset, config)
-    }
-
-    /// Run the full extraction pipeline over any [`AccountSource`].
+    /// Run the full extraction pipeline over any [`AccountSource`] (a
+    /// generated [`Dataset`](hydra_datagen::Dataset) is one).
     ///
     /// This is the batch-only path: it trains the same LDA model and
     /// sentiment lexicon as [`Signals::extract_with_extractor`] (signals
     /// are bit-identical between the two) but skips the extractor-specific
     /// extras — the vocabulary snapshot clone and the username language
     /// model — that only online ingest needs.
-    pub fn extract_from<S: AccountSource + ?Sized>(source: &S, config: &SignalConfig) -> Signals {
+    pub fn extract<S: AccountSource + ?Sized>(source: &S, config: &SignalConfig) -> Signals {
         let (lda, lexicon) = crate::ingest::train_extraction_core(source, config);
         let vocab = source.vocab();
         // Precompute word-id → sentiment weights for fast per-post scoring.
@@ -599,7 +592,7 @@ impl Signals {
         }
     }
 
-    /// [`Signals::extract_from`], additionally returning the frozen
+    /// [`Signals::extract`], additionally returning the frozen
     /// [`SignalExtractor`](crate::ingest::SignalExtractor) the corpus was
     /// extracted with — the trained LDA model, sentiment lexicon, vocabulary
     /// snapshot, and username language model packaged as a persistable
@@ -1009,7 +1002,7 @@ pub(crate) fn extract_account(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_datagen::DatasetConfig;
+    use hydra_datagen::{Dataset, DatasetConfig};
 
     fn small_signals() -> (Dataset, Signals) {
         let d = Dataset::generate(DatasetConfig::english(40, 21));

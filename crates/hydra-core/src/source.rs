@@ -9,7 +9,7 @@
 //! Eq. 14 structure consistency consume, and the corpus-wide vocabulary
 //! style modeling requires.
 //!
-//! [`Signals::extract_from`](crate::signals::Signals::extract_from) and
+//! [`Signals::extract`](crate::signals::Signals::extract) and
 //! [`crate::Hydra::fit`] are generic over this trait; `Dataset` is just one
 //! implementation (provided here), so a production ingest layer — a
 //! database snapshot, a stream materialization — plugs in by implementing

@@ -54,7 +54,7 @@ pub struct MediaPlan {
 }
 
 /// Deterministic fingerprint for item `k` of person `p`.
-pub fn media_fingerprint(person: u32, k: u32) -> u64 {
+fn media_fingerprint(person: u32, k: u32) -> u64 {
     let mut h = (person as u64) << 32 | k as u64;
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51afd7ed558ccd);
@@ -90,7 +90,7 @@ fn day_time<R: Rng>(d: u32, shift: i64, window_days: u32, rng: &mut R) -> Timest
 }
 
 /// Approximate zero-mean normal via the sum of three uniforms.
-pub fn approx_normal<R: Rng>(std_dev: f64, rng: &mut R) -> f64 {
+fn approx_normal<R: Rng>(std_dev: f64, rng: &mut R) -> f64 {
     let u = rng.gen::<f64>() + rng.gen::<f64>() + rng.gen::<f64>() - 1.5;
     u * 2.0 * std_dev
 }

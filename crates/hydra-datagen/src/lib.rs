@@ -24,7 +24,6 @@
 pub mod attributes;
 pub mod dataset;
 pub mod events;
-pub mod export;
 pub mod graph_gen;
 pub mod names;
 pub mod person;
@@ -38,5 +37,3 @@ pub use platform::{Language, PlatformSpec};
 
 /// Dense person handle (index into [`Dataset::persons`]).
 pub type PersonIdx = u32;
-/// Dense account handle within one platform.
-pub type AccountIdx = u32;

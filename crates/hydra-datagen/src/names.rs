@@ -83,7 +83,7 @@ pub enum UsernameStyle {
 /// Distribution over username styles for a platform language. Chinese
 /// platforms mix CJK decorations heavily; English platforms favor
 /// `FullName`/`GivenDigits`. Both keep a deceptive tail.
-pub fn style_distribution(language: Language) -> Vec<(UsernameStyle, f64)> {
+fn style_distribution(language: Language) -> Vec<(UsernameStyle, f64)> {
     match language {
         Language::English => vec![
             (UsernameStyle::FullName, 0.40),

@@ -7,7 +7,7 @@
 //! platforms"), how asynchronous cross-posting is, and how active users are
 //! (data imbalance between primary and secondary accounts).
 
-use crate::attributes::{AttrKind, NUM_ATTRS};
+use crate::attributes::AttrKind;
 
 /// Platform language family (drives username styling and content pools).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +70,6 @@ impl PlatformSpec {
     pub fn deception_prob(&self, attr: AttrKind) -> f64 {
         (attr.base_deception_prob() * self.deception_multiplier).min(0.5)
     }
-
-    /// Effective missing probabilities for all attributes, in storage order.
-    pub fn missing_probs(&self) -> [f64; NUM_ATTRS] {
-        let mut out = [0.0; NUM_ATTRS];
-        for a in crate::attributes::ALL_ATTRS {
-            out[a.index()] = self.missing_prob(a);
-        }
-        out
-    }
 }
 
 /// Sina Weibo: the hybrid micro-blog — high activity, heavy reshares, high
@@ -104,7 +95,7 @@ pub fn sina_weibo() -> PlatformSpec {
 }
 
 /// Tencent Weibo: twitter-like, slightly sparser profiles.
-pub fn tencent_weibo() -> PlatformSpec {
+fn tencent_weibo() -> PlatformSpec {
     PlatformSpec {
         name: "tencent-weibo",
         language: Language::Chinese,
@@ -125,7 +116,7 @@ pub fn tencent_weibo() -> PlatformSpec {
 }
 
 /// Renren: the "Facebook of China" — fuller profiles, real-name culture.
-pub fn renren() -> PlatformSpec {
+fn renren() -> PlatformSpec {
     PlatformSpec {
         name: "renren",
         language: Language::Chinese,

@@ -12,8 +12,8 @@
 use crate::labeling::{sample_labels, LabelPlan};
 use crate::metrics::{evaluate, Prf};
 use hydra_baselines::{AliasDisamb, LinkageMethod, LinkageTask, Mobius, Smash, SvmB};
-use hydra_core::candidates::{generate_candidates, CandidateConfig, CandidatePair};
-use hydra_core::features::{AttributeImportance, FeatureConfig, FeatureExtractor, FeatureMatrix};
+use hydra_core::candidates::{generate_candidates, CandidatePair};
+use hydra_core::features::{AttributeImportance, FeatureExtractor, FeatureMatrix};
 use hydra_core::missing::FillStrategy;
 use hydra_core::model::{Hydra, HydraConfig, PairTask};
 use hydra_core::signals::ProfileCache;
@@ -265,17 +265,6 @@ pub fn fast_signal_config() -> SignalConfig {
         lda_sample_cap: 5000,
         ..Default::default()
     }
-}
-
-/// Config helper: a [`CandidateConfig`] + [`FeatureConfig`] pass-through so
-/// binaries can tweak without importing hydra-core everywhere.
-pub fn default_candidate_config() -> CandidateConfig {
-    CandidateConfig::default()
-}
-
-/// Default feature configuration re-export.
-pub fn default_feature_config() -> FeatureConfig {
-    FeatureConfig::default()
 }
 
 #[cfg(test)]

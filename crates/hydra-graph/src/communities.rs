@@ -5,13 +5,9 @@
 //! with "the top five largest overlapping communities A, B, C, D, E".
 //! [`CommunitySet`] stores overlapping memberships (a node may belong to any
 //! number of communities) and answers the size-ranking queries the
-//! experiment needs; [`label_propagation`] detects non-overlapping
-//! communities from raw structure when no assignment is available (citing
-//! the paper's reference \[6\] for online overlapping-community search, which
-//! we approximate with weighted label propagation plus an overlap pass).
-
-use crate::graph::SocialGraph;
-use std::collections::HashMap;
+//! experiment needs. The memberships come from the generator's ground truth
+//! (`Dataset::communities`); nothing here detects communities from raw
+//! structure.
 
 /// Overlapping community memberships over a node universe.
 #[derive(Debug, Clone, Default)]
@@ -60,13 +56,6 @@ impl CommunitySet {
         self.members[c].binary_search(&v).is_ok()
     }
 
-    /// All communities containing `v`.
-    pub fn communities_of(&self, v: u32) -> Vec<usize> {
-        (0..self.members.len())
-            .filter(|&c| self.contains(c, v))
-            .collect()
-    }
-
     /// Community ids ranked by descending size (ties by id) — "the
     /// decreasing ranked result [...] community is by size" (Section 7.1).
     pub fn ranked_by_size(&self) -> Vec<usize> {
@@ -106,105 +95,9 @@ impl CommunitySet {
     }
 }
 
-/// Weighted *asynchronous* label propagation, `iterations` sweeps. Every
-/// node starts in its own community; scanning nodes in id order, each node
-/// immediately adopts the incident label with the largest total interaction
-/// weight (ties to the smaller label). Asynchronous updates avoid the
-/// two-coloring oscillation of the synchronous variant, so the procedure is
-/// deterministic and converges on typical social graphs in a few sweeps.
-pub fn label_propagation(g: &SocialGraph, iterations: usize) -> Vec<u32> {
-    let n = g.num_nodes();
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    for _ in 0..iterations {
-        let mut changed = false;
-        for v in 0..n as u32 {
-            let mut tally: HashMap<u32, f64> = HashMap::new();
-            for (nb, w) in g.neighbors(v) {
-                *tally.entry(labels[nb as usize]).or_insert(0.0) += w;
-            }
-            if tally.is_empty() {
-                continue;
-            }
-            let mut best_label = labels[v as usize];
-            let mut best_weight = f64::NEG_INFINITY;
-            let mut keys: Vec<u32> = tally.keys().copied().collect();
-            keys.sort_unstable();
-            for l in keys {
-                let w = tally[&l];
-                if w > best_weight {
-                    best_weight = w;
-                    best_label = l;
-                }
-            }
-            if best_label != labels[v as usize] {
-                labels[v as usize] = best_label;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    labels
-}
-
-/// Build an overlapping [`CommunitySet`] from label-propagation cores plus a
-/// boundary pass: a node also joins a neighboring community when at least
-/// `overlap_threshold` of its interaction weight points into it.
-pub fn detect_overlapping(
-    g: &SocialGraph,
-    iterations: usize,
-    overlap_threshold: f64,
-) -> CommunitySet {
-    let labels = label_propagation(g, iterations);
-    let mut by_label: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (v, &l) in labels.iter().enumerate() {
-        by_label.entry(l).or_default().push(v as u32);
-    }
-    // Overlap pass.
-    for v in 0..g.num_nodes() as u32 {
-        let total = g.strength(v);
-        if total <= 0.0 {
-            continue;
-        }
-        let mut into: HashMap<u32, f64> = HashMap::new();
-        for (nb, w) in g.neighbors(v) {
-            *into.entry(labels[nb as usize]).or_insert(0.0) += w;
-        }
-        let mut foreign: Vec<u32> = into.keys().copied().collect();
-        foreign.sort_unstable();
-        for l in foreign {
-            if l != labels[v as usize] && into[&l] / total >= overlap_threshold {
-                by_label.entry(l).or_default().push(v);
-            }
-        }
-    }
-    let mut labels_sorted: Vec<u32> = by_label.keys().copied().collect();
-    labels_sorted.sort_unstable();
-    let mut set = CommunitySet::new();
-    for l in labels_sorted {
-        set.add_community(by_label.remove(&l).expect("label present"));
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuilder;
-
-    /// Two dense cliques {0,1,2} and {3,4,5} joined by a weak bridge 2-3.
-    fn two_cliques() -> SocialGraph {
-        let mut b = GraphBuilder::new(6);
-        for &(x, y) in &[(0, 1), (0, 2), (1, 2)] {
-            b.add_edge(x, y, 5.0);
-        }
-        for &(x, y) in &[(3, 4), (3, 5), (4, 5)] {
-            b.add_edge(x, y, 5.0);
-        }
-        b.add_edge(2, 3, 0.5);
-        b.build()
-    }
 
     #[test]
     fn community_set_queries() {
@@ -215,8 +108,6 @@ mod tests {
         assert_eq!(cs.size(b), 2);
         assert!(cs.contains(a, 2));
         assert!(cs.contains(b, 2));
-        assert_eq!(cs.communities_of(2), vec![a, b]);
-        assert_eq!(cs.communities_of(9), Vec::<usize>::new());
     }
 
     #[test]
@@ -237,65 +128,5 @@ mod tests {
         assert!((cs.overlap(a, b) - 0.5).abs() < 1e-12);
         let c = cs.add_community(vec![9]);
         assert_eq!(cs.overlap(a, c), 0.0);
-    }
-
-    #[test]
-    fn label_propagation_separates_cliques() {
-        let g = two_cliques();
-        let labels = label_propagation(&g, 20);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[1], labels[2]);
-        assert_eq!(labels[3], labels[4]);
-        assert_eq!(labels[4], labels[5]);
-        assert_ne!(labels[0], labels[3]);
-    }
-
-    #[test]
-    fn label_propagation_is_deterministic() {
-        let g = two_cliques();
-        assert_eq!(label_propagation(&g, 20), label_propagation(&g, 20));
-    }
-
-    #[test]
-    fn detect_overlapping_produces_two_main_communities() {
-        let g = two_cliques();
-        let cs = detect_overlapping(&g, 20, 0.3);
-        let top = cs.top_k_by_size(2);
-        assert_eq!(top.len(), 2);
-        assert!(cs.size(top[0]) >= 3);
-        assert!(cs.size(top[1]) >= 3);
-    }
-
-    #[test]
-    fn overlap_pass_adds_bridge_nodes() {
-        // Cliques stay separate under LPA (internal weight 5 > bridge 3) but
-        // the bridge endpoints each send 3/13 ≈ 0.23 of their interaction
-        // weight across, exceeding the 0.2 overlap threshold.
-        let mut b = GraphBuilder::new(6);
-        for &(x, y) in &[(0, 1), (0, 2), (1, 2)] {
-            b.add_edge(x, y, 5.0);
-        }
-        for &(x, y) in &[(3, 4), (3, 5), (4, 5)] {
-            b.add_edge(x, y, 5.0);
-        }
-        b.add_edge(2, 3, 3.0);
-        let g = b.build();
-        let cs = detect_overlapping(&g, 20, 0.2);
-        assert!(cs.len() >= 2, "cliques should remain separate");
-        assert!(
-            cs.communities_of(2).len() >= 2,
-            "bridge node 2 should belong to both communities"
-        );
-        assert!(
-            cs.communities_of(3).len() >= 2,
-            "bridge node 3 should belong to both communities"
-        );
-    }
-
-    #[test]
-    fn isolated_nodes_keep_their_label() {
-        let g = SocialGraph::empty(3);
-        let labels = label_propagation(&g, 5);
-        assert_eq!(labels, vec![0, 1, 2]);
     }
 }

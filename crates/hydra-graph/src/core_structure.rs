@@ -22,25 +22,6 @@ pub fn top_k_friends(g: &SocialGraph, v: u32, k: usize) -> Vec<u32> {
     friends.into_iter().map(|(n, _)| n).collect()
 }
 
-/// Top-3 interacting friends — the exact core structure of Eq. 18.
-pub fn core_friends(g: &SocialGraph, v: u32) -> Vec<u32> {
-    top_k_friends(g, v, 3)
-}
-
-/// Jaccard overlap of two users' top-k friend sets (a structural similarity
-/// diagnostic used in tests and ablations).
-pub fn core_overlap(g: &SocialGraph, a: u32, b: u32, k: usize) -> f64 {
-    let fa = top_k_friends(g, a, k);
-    let fb = top_k_friends(g, b, k);
-    if fa.is_empty() && fb.is_empty() {
-        return 0.0;
-    }
-    let sa: std::collections::HashSet<u32> = fa.iter().copied().collect();
-    let inter = fb.iter().filter(|x| sa.contains(x)).count();
-    let union = sa.len() + fb.len() - inter;
-    inter as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +43,6 @@ mod tests {
         let g = sample();
         assert_eq!(top_k_friends(&g, 0, 3), vec![3, 1, 2]);
         assert_eq!(top_k_friends(&g, 0, 10), vec![3, 1, 2, 4]);
-        assert_eq!(core_friends(&g, 0), vec![3, 1, 2]);
     }
 
     #[test]
@@ -80,14 +60,5 @@ mod tests {
         b.add_edge(0, 3, 1.0);
         let g = b.build();
         assert_eq!(top_k_friends(&g, 0, 2), vec![1, 2]);
-    }
-
-    #[test]
-    fn overlap_metric() {
-        let g = sample();
-        // Node 1's friends: {0, 2}; node 2's: {0, 1}. Top-2 overlap: {0}.
-        let v = core_overlap(&g, 1, 2, 2);
-        assert!((v - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(core_overlap(&g, 5, 5, 3), 0.0);
     }
 }

@@ -308,32 +308,6 @@ impl SocialGraph {
         self.weights = weights;
         self.edge_count += fresh.len();
     }
-
-    /// Connected components; returns a component id per node (ids are dense,
-    /// ordered by first appearance).
-    pub fn connected_components(&self) -> Vec<u32> {
-        let n = self.num_nodes();
-        let mut comp = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut stack = Vec::new();
-        for start in 0..n as u32 {
-            if comp[start as usize] != u32::MAX {
-                continue;
-            }
-            comp[start as usize] = next;
-            stack.push(start);
-            while let Some(v) = stack.pop() {
-                for (nb, _) in self.neighbors(v) {
-                    if comp[nb as usize] == u32::MAX {
-                        comp[nb as usize] = next;
-                        stack.push(nb);
-                    }
-                }
-            }
-            next += 1;
-        }
-        comp
-    }
 }
 
 #[cfg(test)]
@@ -410,15 +384,6 @@ mod tests {
         let g = sample();
         assert!((g.strength(0) - 6.5).abs() < 1e-12);
         assert_eq!(g.strength(4), 0.0);
-    }
-
-    #[test]
-    fn connected_components_found() {
-        let g = sample();
-        let comp = g.connected_components();
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[0], comp[3]);
-        assert_ne!(comp[0], comp[4]);
     }
 
     #[test]
@@ -538,7 +503,5 @@ mod tests {
         let g = SocialGraph::empty(3);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(1), 0);
-        let comp = g.connected_components();
-        assert_eq!(comp, vec![0, 1, 2]);
     }
 }

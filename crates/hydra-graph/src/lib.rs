@@ -22,7 +22,7 @@ pub mod core_structure;
 pub mod distance;
 pub mod graph;
 
-pub use communities::{label_propagation, CommunitySet};
+pub use communities::CommunitySet;
 pub use core_structure::top_k_friends;
 pub use distance::{hop_distance, k_hop_neighborhood, paper_distance};
 pub use graph::{GraphBuilder, SocialGraph};

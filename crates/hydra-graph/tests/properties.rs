@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use hydra_graph::distance::{bfs_distances, hop_distance, k_hop_neighborhood, paper_distance};
-use hydra_graph::{label_propagation, top_k_friends, GraphBuilder, SocialGraph};
+use hydra_graph::{top_k_friends, GraphBuilder, SocialGraph};
 use proptest::prelude::*;
 
 /// Random small weighted graphs.
@@ -117,21 +117,6 @@ proptest! {
                     if !friends.contains(&nb) {
                         prop_assert!(w <= min_kept + 1e-12);
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn label_propagation_labels_within_components(g in graph_strategy()) {
-        let labels = label_propagation(&g, 30);
-        let comp = g.connected_components();
-        // Nodes with the same label must share a connected component
-        // (labels only travel along edges).
-        for a in 0..g.num_nodes() {
-            for b in 0..g.num_nodes() {
-                if labels[a] == labels[b] {
-                    prop_assert_eq!(comp[a], comp[b]);
                 }
             }
         }

@@ -270,12 +270,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// Log-determinant of `A` (twice the log-determinant of `L`), useful for
-    /// model-selection diagnostics.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +354,6 @@ mod tests {
         let r = a.matvec(&x).unwrap();
         assert!((r[0] - 2.0).abs() < 1e-12);
         assert!((r[1] - 1.0).abs() < 1e-12);
-        assert!((ch.log_det() - (4.0 * 3.0 - 2.0 * 2.0_f64).ln()).abs() < 1e-12);
     }
 
     #[test]

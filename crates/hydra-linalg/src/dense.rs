@@ -167,22 +167,6 @@ impl Mat {
         Ok(out)
     }
 
-    /// Transposed matrix-vector product `Aᵀ·x`.
-    pub fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matvec_t",
-                got: (x.len(), 1),
-                expected: (self.rows, 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            vec_ops::axpy(x[i], self.row(i), &mut out);
-        }
-        Ok(out)
-    }
-
     /// Matrix product `A·B`, using an ikj loop order for cache friendliness.
     pub fn matmul(&self, other: &Mat) -> Result<Mat> {
         if self.cols != other.rows {
@@ -255,28 +239,6 @@ impl Mat {
         out
     }
 
-    /// `self + alpha·other`, elementwise.
-    pub fn add_scaled(&self, alpha: f64, other: &Mat) -> Result<Mat> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "add_scaled",
-                got: (other.rows, other.cols),
-                expected: (self.rows, self.cols),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a + alpha * b)
-            .collect();
-        Ok(Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Add `alpha` to every diagonal entry in place (ridge shift).
     pub fn shift_diag(&mut self, alpha: f64) {
         let n = self.rows.min(self.cols);
@@ -305,11 +267,6 @@ impl Mat {
     /// Maximum absolute entry (`‖A‖_max`).
     pub fn max_abs(&self) -> f64 {
         vec_ops::norm_inf(&self.data)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        vec_ops::norm2(&self.data)
     }
 
     /// True when every entry is finite.
@@ -365,8 +322,7 @@ mod tests {
         let x = vec![1.0, 1.0];
         assert_eq!(m.matvec(&x).unwrap(), vec![3.0, 7.0, 11.0]);
         let y = vec![1.0, 0.0, 1.0];
-        assert_eq!(m.matvec_t(&y).unwrap(), vec![6.0, 8.0]);
-        assert_eq!(m.transpose().matvec(&y).unwrap(), m.matvec_t(&y).unwrap());
+        assert_eq!(m.transpose().matvec(&y).unwrap(), vec![6.0, 8.0]);
     }
 
     #[test]
@@ -451,7 +407,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Mat::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         assert!(m.all_finite());
     }

@@ -1,131 +1,29 @@
-//! Iterative methods: conjugate gradients, BiCGStab, and power iteration.
+//! Iterative methods: BiCGStab and power iteration.
 //!
 //! Section 6.2 invokes Raleigh's ratio theorem — the cluster indicator that
 //! maximizes the structure-consistency score `yᵀMy` is the principal
 //! eigenvector of **M** — which [`power_iteration`] computes directly on the
-//! sparse matrix. Conjugate gradients provides a matrix-free alternative to
-//! dense LU for symmetric positive-definite solves; [`bicgstab`] extends the
-//! matrix-free toolkit to the *non-symmetric* Eq. 15 operator
+//! sparse matrix. [`bicgstab`] is a matrix-free alternative to dense LU for
+//! the *non-symmetric* Eq. 15 operator
 //! `A = 2γ_L·I + c·(D−M)·K` (a Laplacian times a kernel matrix is not
 //! symmetric in general), which is what lets the MOO dual solve shed its
 //! O(n³) factorization: `A·x` is applied as `2γ_L·x + c·L·(K·x)` without
 //! ever materializing `A`.
 
 use crate::sparse::CsrMatrix;
-use crate::vec_ops::{axpy, dot, norm2, normalize, scale};
+use crate::vec_ops::{axpy, dot, norm2, normalize};
 use crate::{LinalgError, Result};
 
-/// Converged output of a matrix-free linear solve ([`conjugate_gradient`] or
-/// [`bicgstab`]).
+/// Converged output of the single-right-hand-side [`bicgstab`].
 #[derive(Debug, Clone)]
 pub struct IterSolution {
     /// Solution vector.
     pub x: Vec<f64>,
-    /// Iterations performed (operator applications differ per method: CG
-    /// applies once per iteration, BiCGStab twice).
+    /// Iterations performed (each applies the operator twice).
     pub iterations: usize,
     /// Achieved relative residual `‖b − A·x‖/‖b‖` under the method's own
     /// recurrence (callers can log it; it is ≤ the requested tolerance).
     pub residual: f64,
-}
-
-/// Options for [`conjugate_gradient`].
-#[derive(Debug, Clone, Copy)]
-pub struct CgOptions {
-    /// Maximum number of iterations (default: `10 * n`).
-    pub max_iter: usize,
-    /// Relative residual tolerance `‖r‖/‖b‖` (default `1e-10`).
-    pub tol: f64,
-}
-
-impl Default for CgOptions {
-    fn default() -> Self {
-        CgOptions {
-            max_iter: 0, // 0 = auto (10·n)
-            tol: 1e-10,
-        }
-    }
-}
-
-/// Solve `A·x = b` for a symmetric positive (semi-)definite operator given as
-/// a closure `apply(x) -> A·x`.
-///
-/// Succeeds if and only if the residual drops below the *caller's* tolerance
-/// (no hidden loosening on exit); the achieved residual is reported in the
-/// [`IterSolution`]. Fails with [`LinalgError::DidNotConverge`] otherwise,
-/// carrying the last relative residual.
-pub fn conjugate_gradient<F>(apply: F, b: &[f64], opts: CgOptions) -> Result<IterSolution>
-where
-    F: Fn(&[f64]) -> Vec<f64>,
-{
-    let n = b.len();
-    let max_iter = if opts.max_iter == 0 {
-        10 * n.max(1)
-    } else {
-        opts.max_iter
-    };
-    let bnorm = norm2(b);
-    if bnorm == 0.0 {
-        return Ok(IterSolution {
-            x: vec![0.0; n],
-            iterations: 0,
-            residual: 0.0,
-        });
-    }
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = r.clone();
-    let mut rs_old = dot(&r, &r);
-    let mut iterations = 0;
-    for it in 0..max_iter {
-        if rs_old.sqrt() <= opts.tol * bnorm {
-            return Ok(IterSolution {
-                x,
-                iterations: it,
-                residual: rs_old.sqrt() / bnorm,
-            });
-        }
-        iterations = it;
-        let ap = apply(&p);
-        let p_ap = dot(&p, &ap);
-        if p_ap <= 0.0 || !p_ap.is_finite() {
-            // Operator not PD along p: the caller's tolerance is the only
-            // acceptance criterion — bail with the current iterate if it is
-            // already good, otherwise report failure.
-            if rs_old.sqrt() <= opts.tol * bnorm {
-                return Ok(IterSolution {
-                    x,
-                    iterations: it,
-                    residual: rs_old.sqrt() / bnorm,
-                });
-            }
-            return Err(LinalgError::DidNotConverge {
-                iterations: it,
-                residual: rs_old.sqrt() / bnorm,
-            });
-        }
-        let alpha = rs_old / p_ap;
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        let rs_new = dot(&r, &r);
-        let beta = rs_new / rs_old;
-        // p = r + beta * p
-        scale(beta, &mut p);
-        axpy(1.0, &r, &mut p);
-        rs_old = rs_new;
-    }
-    if rs_old.sqrt() <= opts.tol * bnorm {
-        Ok(IterSolution {
-            x,
-            iterations: iterations + 1,
-            residual: rs_old.sqrt() / bnorm,
-        })
-    } else {
-        Err(LinalgError::DidNotConverge {
-            iterations: max_iter,
-            residual: rs_old.sqrt() / bnorm,
-        })
-    }
 }
 
 /// Options for [`bicgstab`].
@@ -738,71 +636,6 @@ mod tests {
     use crate::sparse::CsrBuilder;
 
     #[test]
-    fn cg_solves_spd_system() {
-        let a = Mat::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]);
-        let b = vec![1.0, 2.0];
-        let sol = conjugate_gradient(|v| a.matvec(v).unwrap(), &b, CgOptions::default()).unwrap();
-        let r = a.matvec(&sol.x).unwrap();
-        assert!((r[0] - 1.0).abs() < 1e-8);
-        assert!((r[1] - 2.0).abs() < 1e-8);
-        assert!(sol.residual <= CgOptions::default().tol);
-    }
-
-    #[test]
-    fn cg_zero_rhs_returns_zero() {
-        let sol =
-            conjugate_gradient(|v| v.to_vec(), &[0.0, 0.0, 0.0], CgOptions::default()).unwrap();
-        assert_eq!(sol.x, vec![0.0; 3]);
-        assert_eq!(sol.residual, 0.0);
-    }
-
-    #[test]
-    fn cg_matches_lu_on_larger_spd() {
-        let n = 30;
-        let mut a = Mat::zeros(n, n);
-        for i in 0..n {
-            a[(i, i)] = 4.0;
-            if i + 1 < n {
-                a[(i, i + 1)] = -1.0;
-                a[(i + 1, i)] = -1.0;
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
-        let sol = conjugate_gradient(|v| a.matvec(v).unwrap(), &b, CgOptions::default()).unwrap();
-        let x_lu = crate::decomp::Lu::factor(&a).unwrap().solve(&b).unwrap();
-        for (u, v) in sol.x.iter().zip(x_lu.iter()) {
-            assert!((u - v).abs() < 1e-7, "cg/lu mismatch: {u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn cg_honors_caller_tolerance_on_failure() {
-        // One iteration cannot solve this system to 1e-10; the old code
-        // would have silently accepted a 1e-6-ish residual on exit.
-        let a = Mat::from_rows(&[
-            vec![4.0, 1.0, 0.0],
-            vec![1.0, 3.0, 1.0],
-            vec![0.0, 1.0, 2.0],
-        ]);
-        let b = vec![1.0, 2.0, 3.0];
-        let err = conjugate_gradient(
-            |v| a.matvec(v).unwrap(),
-            &b,
-            CgOptions {
-                max_iter: 1,
-                tol: 1e-14,
-            },
-        )
-        .unwrap_err();
-        match err {
-            LinalgError::DidNotConverge { residual, .. } => {
-                assert!(residual.is_finite() && residual > 1e-14);
-            }
-            other => panic!("expected DidNotConverge, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn bicgstab_solves_nonsymmetric_system() {
         // Genuinely non-symmetric, diagonally dominant.
         let a = Mat::from_rows(&[
@@ -852,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_matches_cg_on_spd_system() {
+    fn bicgstab_matches_lu_on_spd_system() {
         let n = 20;
         let mut a = Mat::zeros(n, n);
         for i in 0..n {
@@ -863,9 +696,7 @@ mod tests {
             }
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let xc = conjugate_gradient(|v| a.matvec(v).unwrap(), &b, CgOptions::default())
-            .unwrap()
-            .x;
+        let x_lu = crate::decomp::Lu::factor(&a).unwrap().solve(&b).unwrap();
         let xb = bicgstab(
             |v| a.matvec(v).unwrap(),
             &b,
@@ -874,8 +705,8 @@ mod tests {
         )
         .unwrap()
         .x;
-        for (u, v) in xb.iter().zip(xc.iter()) {
-            assert!((u - v).abs() < 1e-7);
+        for (u, v) in xb.iter().zip(x_lu.iter()) {
+            assert!((u - v).abs() < 1e-7, "bicgstab/lu mismatch: {u} vs {v}");
         }
     }
 

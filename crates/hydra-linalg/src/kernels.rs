@@ -51,36 +51,6 @@ impl Kernel {
             Kernel::HistIntersection => x.iter().zip(y.iter()).map(|(&a, &b)| a.min(b)).sum(),
         }
     }
-
-    /// Default RBF bandwidth from the median heuristic: `γ = 1/(2·median²)`
-    /// over pairwise distances of a sample of rows. Falls back to `1.0` for
-    /// degenerate inputs.
-    pub fn rbf_median_heuristic(rows: &[Vec<f64>]) -> Kernel {
-        let n = rows.len();
-        if n < 2 {
-            return Kernel::Rbf { gamma: 1.0 };
-        }
-        let cap = 200.min(n);
-        let mut dists = Vec::with_capacity(cap * (cap - 1) / 2);
-        let stride = (n / cap).max(1);
-        let sample: Vec<&Vec<f64>> = rows.iter().step_by(stride).take(cap).collect();
-        for i in 0..sample.len() {
-            for j in (i + 1)..sample.len() {
-                let d2 = sq_dist(sample[i], sample[j]);
-                if d2 > 0.0 {
-                    dists.push(d2);
-                }
-            }
-        }
-        if dists.is_empty() {
-            return Kernel::Rbf { gamma: 1.0 };
-        }
-        dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-        let med = dists[dists.len() / 2];
-        Kernel::Rbf {
-            gamma: 1.0 / (2.0 * med),
-        }
-    }
 }
 
 /// Build the full Gram matrix `K[i][j] = K(rows[i], rows[j])`.
@@ -148,7 +118,7 @@ const LANES: usize = 8;
 /// The terms of a kernel expansion `init + Σ_a c_a·K(x_a, x)` (Eq. 12),
 /// stored the way the sum reads them.
 ///
-/// Rows are grouped into blocks of [`LANES`]; inside a block the layout is
+/// Rows are grouped into blocks of `LANES` (8); inside a block the layout is
 /// dimension-major, so lane `j` of block `b` holds kept row `8b + j` and
 /// one step over a dimension advances eight independent per-row
 /// accumulators. Each lane performs exactly the operations [`Kernel::eval`]
@@ -327,22 +297,6 @@ mod tests {
     fn packed_sum_panics_on_wrong_width() {
         let row = [1.0, 2.0];
         PackedExpansion::pack([(1.0, &row[..])]).sum(Kernel::Linear, 0.0, &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn median_heuristic_reasonable() {
-        let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, (i * 2) as f64]).collect();
-        if let Kernel::Rbf { gamma } = Kernel::rbf_median_heuristic(&rows) {
-            assert!(gamma > 0.0 && gamma.is_finite());
-        } else {
-            panic!("expected RBF kernel");
-        }
-        // Degenerate: all identical rows.
-        let same = vec![vec![1.0, 1.0]; 10];
-        assert_eq!(
-            Kernel::rbf_median_heuristic(&same),
-            Kernel::Rbf { gamma: 1.0 }
-        );
     }
 
     #[test]

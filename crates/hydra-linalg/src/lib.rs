@@ -30,8 +30,8 @@ pub mod vec_ops;
 pub use decomp::{Cholesky, Lu};
 pub use dense::Mat;
 pub use iterative::{
-    bicgstab, bicgstab_multi, conjugate_gradient, power_iteration, BiCgStabOptions,
-    BlockIterSolution, CgOptions, IterSolution, PowerIterResult,
+    bicgstab, bicgstab_multi, power_iteration, BiCgStabOptions, BlockIterSolution, IterSolution,
+    PowerIterResult,
 };
 pub use kernels::{kernel_matrix, kernel_matrix_mat, Kernel};
 pub use qp::{SmoOptions, SmoResult, SmoSolver};

@@ -94,43 +94,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Numerically stable log-sum-exp.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NEG_INFINITY;
-    }
-    let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if !m.is_finite() {
-        return m;
-    }
-    m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
-}
-
-/// Pearson correlation; 0 when either side is constant.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        let dx = x - mx;
-        let dy = y - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        0.0
-    } else {
-        sxy / (sxx * syy).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,20 +153,5 @@ mod tests {
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(variance(&[1.0]), 0.0);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn log_sum_exp_stable() {
-        let v = log_sum_exp(&[1000.0, 1000.0]);
-        assert!((v - (1000.0 + 2.0_f64.ln())).abs() < 1e-9);
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn pearson_known_cases() {
-        let x = [1.0, 2.0, 3.0];
-        assert!((pearson(&x, &[2.0, 4.0, 6.0]) - 1.0).abs() < 1e-12);
-        assert!((pearson(&x, &[3.0, 2.0, 1.0]) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&x, &[5.0, 5.0, 5.0]), 0.0);
     }
 }

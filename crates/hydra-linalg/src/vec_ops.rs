@@ -66,12 +66,6 @@ pub fn sq_dist(x: &[f64], y: &[f64]) -> f64 {
     acc
 }
 
-/// L1 norm `‖x‖₁`.
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Infinity norm `‖x‖∞`.
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
@@ -214,7 +208,6 @@ mod tests {
     #[test]
     fn norms_agree_on_simple_input() {
         let v = [1.0, -2.0, 3.0];
-        assert_eq!(norm1(&v), 6.0);
         assert_eq!(norm_inf(&v), 3.0);
     }
 

@@ -121,7 +121,7 @@ impl Endpoint {
     /// connects are local kernel operations and cannot hang — the
     /// hung-peer case there is a wedged *accept* loop, which the dial
     /// budget's IO timeout covers after connecting.
-    pub fn connect_timeout(&self, timeout: Option<Duration>) -> std::io::Result<Box<dyn Conn>> {
+    fn connect_timeout(&self, timeout: Option<Duration>) -> std::io::Result<Box<dyn Conn>> {
         match self {
             Endpoint::Unix(path) => Ok(Box::new(std::os::unix::net::UnixStream::connect(path)?)),
             Endpoint::Tcp(addr) => match timeout {
@@ -550,16 +550,15 @@ impl DistributedEngine {
         }
     }
 
-    /// Scatter one query batch and gather degraded outcomes — the
-    /// process-sharded [`ShardedEngine::query_batch_outcome`]
-    /// (hydra_core). Validation is delegated to the shards (each
-    /// validates the whole batch against the same global statistics
-    /// before any scoring); a validation refusal from any shard fails
-    /// the whole batch with the exact in-process [`EngineError`]. Shards
-    /// that cannot answer degrade their partition: per-left
-    /// [`ShardFailure::Quarantined`] for dead connections and
-    /// already-poisoned replicas, [`ShardFailure::Panicked`] for a
-    /// replica that died scoring that very left.
+    /// Scatter one query batch and gather degraded outcomes — the process-sharded
+    /// [`ShardedEngine::query_batch_outcome`](hydra_core::shard::ShardedEngine::query_batch_outcome).
+    /// Validation is delegated to the shards (each validates the whole batch
+    /// against the same global statistics before any scoring); a validation
+    /// refusal from any shard fails the whole batch with the exact in-process
+    /// [`EngineError`]. Shards that cannot answer degrade their partition:
+    /// per-left [`ShardFailure::Quarantined`] for dead connections and
+    /// already-poisoned replicas, [`ShardFailure::Panicked`] for a replica
+    /// that died scoring that very left.
     pub fn query_batch_outcome(
         &mut self,
         task: usize,

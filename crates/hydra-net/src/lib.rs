@@ -15,9 +15,10 @@
 //!
 //! * [`frame`] + [`message`] — the codec. Every frame is
 //!   `magic "HYNF" | version | kind | payload length | payload FNV-1a |
-//!   payload`, decoded through `hydra-core`'s checked [`Reader`] so every
-//!   malformed byte surfaces a typed [`ModelIoError`] with byte offset and
-//!   section — at every truncation prefix, never a panic
+//!   payload`, decoded through `hydra-core`'s checked
+//!   [`Reader`](hydra_core::artifact::Reader) so every malformed byte surfaces
+//!   a typed [`ModelIoError`] with byte offset and section — at every
+//!   truncation prefix, never a panic
 //!   (`tests/wire_faults.rs` mirrors the artifact-codec coverage).
 //!   Messages cover the hello/fingerprint handshake, `QueryBatch`,
 //!   `InsertBatch`, `Remove`, `AdoptEpoch` (epoch-lockstep assertion),

@@ -135,9 +135,9 @@ impl PopulationArtifact {
     }
 
     /// Cut shard `shard`'s slice of an `num_shards`-way partition: the
-    /// minimal artifact from which [`ShardReplica::with_usernames`]
-    /// (hydra-core) rebuilds a replica bitwise-identical to one built
-    /// from the full population.
+    /// minimal artifact from which
+    /// [`ShardReplica::with_usernames`](hydra_core::shard::ShardReplica::with_usernames)
+    /// rebuilds a replica bitwise-identical to one built from the full population.
     ///
     /// What each platform keeps is driven by what the serving path can
     /// read there (`tasks` are the model's platform pairs):

@@ -55,7 +55,7 @@ fn slot_index(v: u64) -> usize {
 
 /// Largest value that lands in `idx` — the value [`HistogramSnapshot::percentile`]
 /// reports for ranks that fall in that slot (before clamping to `max`).
-pub fn slot_upper(idx: usize) -> u64 {
+fn slot_upper(idx: usize) -> u64 {
     if idx < SUB {
         idx as u64
     } else {
@@ -259,14 +259,6 @@ pub fn observe(name: &str, value: u64) {
         return;
     }
     hist_cell(name).record(value);
-}
-
-/// Record a duration (in nanoseconds) into the histogram `name`.
-pub fn observe_duration(name: &str, d: Duration) {
-    if !enabled() {
-        return;
-    }
-    hist_cell(name).record(duration_ns(d));
 }
 
 fn duration_ns(d: Duration) -> u64 {

@@ -130,7 +130,7 @@ impl<U> SendSlice<U> {
     }
 }
 
-/// [`par_map`] with per-item panic isolation: each `f(i, t)` runs under
+/// [`par_map_threads`] with per-item panic isolation: each `f(i, t)` runs under
 /// `catch_unwind`, so one panicking item yields `Err(message)` in its slot
 /// instead of tearing down the whole scope. Order is preserved, and because
 /// the catch happens inside the worker closure no unwind ever crosses the
@@ -139,14 +139,6 @@ impl<U> SendSlice<U> {
 /// The panic payload is downcast to a `String` when it is one (the common
 /// `panic!("…")` case); other payloads collapse to a fixed placeholder so
 /// results stay deterministic.
-pub fn par_map_catch<T: Sync, U: Send, F>(items: &[T], f: F) -> Vec<Result<U, String>>
-where
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_catch_threads(num_threads(), items, f)
-}
-
-/// [`par_map_catch`] with an explicit worker count.
 pub fn par_map_catch_threads<T: Sync, U: Send, F>(
     threads: usize,
     items: &[T],

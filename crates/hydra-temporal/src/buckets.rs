@@ -46,7 +46,7 @@ impl BucketConfig {
     }
 
     /// Bucket index of `t` at `scale_days`; `None` outside the window.
-    pub fn bucket_of(&self, t: Timestamp, scale_days: u32) -> Option<usize> {
+    fn bucket_of(&self, t: Timestamp, scale_days: u32) -> Option<usize> {
         if t < self.origin || t >= self.horizon {
             return None;
         }
@@ -92,7 +92,7 @@ pub fn bucket_distributions(
 /// data. Returns `(similarity, matched_buckets)`; with zero matched buckets
 /// the similarity is reported as 0 and the caller may treat the feature as
 /// missing.
-pub fn scale_similarity(
+fn scale_similarity(
     a: &[Option<Vec<f64>>],
     b: &[Option<Vec<f64>>],
     kernel: Kernel,

@@ -319,7 +319,7 @@ impl<T: Clone, S: PatternSensor<T>> SensorBank<T, S> {
     }
 
     /// Number of output dimensions (`sensors × scales`).
-    pub fn num_features(&self) -> usize {
+    fn num_features(&self) -> usize {
         self.sensors.len() * self.scales_days.len()
     }
 

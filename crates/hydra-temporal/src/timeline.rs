@@ -76,12 +76,12 @@ impl<T> Timeline<T> {
     }
 
     /// Earliest timestamp, if any.
-    pub fn first_time(&self) -> Option<Timestamp> {
+    fn first_time(&self) -> Option<Timestamp> {
         self.events.first().map(|e| e.0)
     }
 
     /// Latest timestamp, if any.
-    pub fn last_time(&self) -> Option<Timestamp> {
+    fn last_time(&self) -> Option<Timestamp> {
         self.events.last().map(|e| e.0)
     }
 

@@ -49,8 +49,6 @@ pub struct LdaModel {
     topic_word: Vec<u32>,
     /// Total tokens per topic.
     topic_totals: Vec<u32>,
-    /// Per-training-document topic distributions θ_d.
-    doc_topics: Vec<Vec<f64>>,
 }
 
 impl LdaModel {
@@ -125,19 +123,6 @@ impl LdaModel {
             }
         }
 
-        // Posterior-mean document-topic distributions.
-        let doc_topics = doc_topic
-            .iter()
-            .zip(docs.iter())
-            .map(|(counts, doc)| {
-                let denom = doc.len() as f64 + k as f64 * opts.alpha;
-                counts
-                    .iter()
-                    .map(|&c| (c as f64 + opts.alpha) / denom)
-                    .collect()
-            })
-            .collect();
-
         LdaModel {
             num_topics: k,
             vocab_size,
@@ -145,7 +130,6 @@ impl LdaModel {
             beta: opts.beta,
             topic_word,
             topic_totals,
-            doc_topics,
         }
     }
 
@@ -153,9 +137,7 @@ impl LdaModel {
     /// counterpart of [`LdaModel::topic_word_counts`] /
     /// [`LdaModel::topic_totals`] used by persistence layers. The rebuilt
     /// model's [`LdaModel::infer`] is bit-identical to the original's
-    /// (inference reads only the counts and priors); per-training-document
-    /// distributions are not part of the frozen state, so
-    /// [`LdaModel::doc_topic_distribution`] holds no documents.
+    /// (inference reads only the counts and priors).
     ///
     /// # Panics
     /// Panics when the shapes are inconsistent (`topic_word` must hold
@@ -180,7 +162,6 @@ impl LdaModel {
             beta,
             topic_word,
             topic_totals,
-            doc_topics: Vec::new(),
         }
     }
 
@@ -219,26 +200,12 @@ impl LdaModel {
     /// `(n_t + α) / (Σ n + K·α)`. This is what an observer knows about a
     /// message *before* seeing any token — an untrained model (all counts
     /// zero) reduces to the uniform distribution.
-    pub fn prior_distribution(&self) -> Vec<f64> {
+    fn prior_distribution(&self) -> Vec<f64> {
         let total: u64 = self.topic_totals.iter().map(|&c| c as u64).sum();
         let denom = total as f64 + self.num_topics as f64 * self.alpha;
         self.topic_totals
             .iter()
             .map(|&c| (c as f64 + self.alpha) / denom)
-            .collect()
-    }
-
-    /// θ_d for training document `d`.
-    pub fn doc_topic_distribution(&self, d: usize) -> &[f64] {
-        &self.doc_topics[d]
-    }
-
-    /// Topic–word distribution φ_k (normalized with the β prior).
-    pub fn topic_word_distribution(&self, t: usize) -> Vec<f64> {
-        let vb = self.vocab_size as f64 * self.beta;
-        let denom = self.topic_totals[t] as f64 + vb;
-        (0..self.vocab_size)
-            .map(|w| (self.topic_word[t * self.vocab_size + w] as f64 + self.beta) / denom)
             .collect()
     }
 
@@ -255,7 +222,7 @@ impl LdaModel {
     ///
     /// Out-of-vocabulary tokens are ignored; an effectively-empty message
     /// carries no evidence, so it returns the **trained prior**
-    /// ([`LdaModel::prior_distribution`], the corpus topic mixture) rather
+    /// (`prior_distribution`, the corpus topic mixture) rather
     /// than a fixed uniform distribution that would misstate what the model
     /// believes about an average message.
     pub fn infer(&self, tokens: &[u32], iterations: usize, seed: u64) -> Vec<f64> {
@@ -374,7 +341,7 @@ pub struct FoldInTables {
     resp0: Vec<f64>,
 }
 
-/// Reusable buffers for [`FoldInTables::infer_with_scratch`]: batch ingest
+/// Reusable buffers for [`FoldInTables::infer_into`]: batch ingest
 /// folds in thousands of messages, and per-call allocation is measurable on
 /// that path. A scratch carries no state between calls — reusing one is
 /// bit-identical to fresh buffers (pinned below).
@@ -469,7 +436,7 @@ impl FoldInTables {
     }
 
     /// As [`FoldInTables::infer`], reusing caller-held buffers.
-    pub fn infer_with_scratch(
+    fn infer_with_scratch(
         &self,
         tokens: &[u32],
         iterations: usize,
@@ -481,8 +448,8 @@ impl FoldInTables {
         out
     }
 
-    /// As [`FoldInTables::infer_with_scratch`], writing θ into a
-    /// caller-held output buffer (cleared first) instead of allocating —
+    /// As [`FoldInTables::infer`], reusing caller-held buffers and writing θ
+    /// into a caller-held output buffer (cleared first) instead of allocating —
     /// the batch pipeline folds in one distribution per post and
     /// accumulates it straight into per-day totals, so the result never
     /// needs to own its storage.
@@ -656,16 +623,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        for d in 0..docs.len() {
-            let theta = model.doc_topic_distribution(d);
+        for (d, doc) in docs.iter().enumerate() {
+            let theta = model.infer(doc, 20, d as u64);
             let s: f64 = theta.iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "theta not normalized: {s}");
             assert!(theta.iter().all(|&p| p > 0.0));
-        }
-        for t in 0..2 {
-            let phi = model.topic_word_distribution(t);
-            let s: f64 = phi.iter().sum();
-            assert!((s - 1.0).abs() < 1e-9, "phi not normalized: {s}");
         }
     }
 
@@ -682,22 +644,18 @@ mod tests {
                 ..Default::default()
             },
         );
-        // Documents of the same theme must land on the same dominant topic,
-        // documents of different themes on different ones.
-        let dom = |d: usize| {
-            let th = model.doc_topic_distribution(d);
-            if th[0] > th[1] {
-                0
-            } else {
-                1
-            }
+        // Each topic's trained word counts must concentrate on one theme,
+        // and the two topics on different themes.
+        let counts = model.topic_word_counts();
+        let theme_a_share = |t: usize| {
+            let row = &counts[t * v..(t + 1) * v];
+            row[..5].iter().sum::<u32>() as f64 / row.iter().sum::<u32>() as f64
         };
-        assert_eq!(dom(0), dom(2));
-        assert_eq!(dom(1), dom(3));
-        assert_ne!(dom(0), dom(1));
-        // And the assignment should be confident.
-        let th = model.doc_topic_distribution(0);
-        assert!(th[dom(0)] > 0.8, "weak separation: {th:?}");
+        let (s0, s1) = (theme_a_share(0), theme_a_share(1));
+        assert!(
+            (s0 > 0.8 && s1 < 0.2) || (s0 < 0.2 && s1 > 0.8),
+            "weak separation: {s0} {s1}"
+        );
     }
 
     #[test]
@@ -832,8 +790,8 @@ mod tests {
         };
         let m1 = LdaModel::train(&docs, v, opts);
         let m2 = LdaModel::train(&docs, v, opts);
-        assert_eq!(m1.doc_topic_distribution(0), m2.doc_topic_distribution(0));
-        assert_eq!(m1.topic_word_distribution(1), m2.topic_word_distribution(1));
+        assert_eq!(m1.topic_word_counts(), m2.topic_word_counts());
+        assert_eq!(m1.topic_totals(), m2.topic_totals());
     }
 
     /// The fixture models the golden-bit and fold-in tests share.

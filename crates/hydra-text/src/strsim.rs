@@ -52,7 +52,7 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// [`jaro`] over pre-decoded scalar slices — the candidate-blocking hot
 /// path caches each username's `Vec<char>` once and reuses it across every
 /// comparison, instead of re-decoding (and re-allocating) per call.
-pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
+fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }

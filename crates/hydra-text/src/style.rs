@@ -72,7 +72,7 @@ impl UniqueWordProfile {
     }
 
     /// Top-k slice of the profile (k capped at the stored length).
-    pub fn top_k(&self, k: usize) -> &[String] {
+    fn top_k(&self, k: usize) -> &[String] {
         &self.words[..k.min(self.words.len())]
     }
 }
@@ -90,14 +90,6 @@ pub fn style_similarity(a: &UniqueWordProfile, b: &UniqueWordProfile, k: usize) 
         .filter(|w| sa.contains(w.as_str()))
         .count();
     matched as f64 / k as f64
-}
-
-/// Convenience: the similarity vector over all paper k values (1, 3, 5).
-pub fn style_similarity_vector(a: &UniqueWordProfile, b: &UniqueWordProfile) -> Vec<f64> {
-    STYLE_KS
-        .iter()
-        .map(|&k| style_similarity(a, b, k))
-        .collect()
 }
 
 #[cfg(test)]
@@ -167,15 +159,6 @@ mod tests {
             words: toks(&["x"]),
         };
         assert!((style_similarity(&a, &b, 5) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn similarity_vector_uses_paper_ks() {
-        let a = UniqueWordProfile {
-            words: toks(&["x", "y", "z", "u", "v"]),
-        };
-        let v = style_similarity_vector(&a, &a);
-        assert_eq!(v, vec![1.0, 1.0, 1.0]);
     }
 
     #[test]

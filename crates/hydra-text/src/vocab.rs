@@ -60,7 +60,7 @@ impl Vocabulary {
     }
 
     /// Intern `word`, returning its id (existing or fresh).
-    pub fn intern(&mut self, word: &str) -> u32 {
+    fn intern(&mut self, word: &str) -> u32 {
         if let Some(&id) = self.word_to_id.get(word) {
             return id;
         }
@@ -132,22 +132,6 @@ impl Vocabulary {
     pub fn total_docs(&self) -> u64 {
         self.total_docs
     }
-
-    /// Smoothed inverse document frequency `ln((1+N)/(1+df)) + 1`.
-    pub fn idf(&self, id: u32) -> f64 {
-        let n = self.total_docs as f64;
-        let df = self.doc_frequency(id) as f64;
-        ((1.0 + n) / (1.0 + df)).ln() + 1.0
-    }
-
-    /// Ids sorted by ascending corpus frequency (rarest first), the ordering
-    /// Section 5.3 uses to pick "the least-used terms of the whole user data
-    /// repository". Ties break by id for determinism.
-    pub fn ids_by_rarity(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..self.len() as u32).collect();
-        ids.sort_by_key(|&id| (self.term_freq[id as usize], id));
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -189,32 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn idf_orders_rare_above_common() {
-        let mut v = Vocabulary::new();
-        for _ in 0..9 {
-            v.add_document(&doc(&["common"]));
-        }
-        v.add_document(&doc(&["common", "rare"]));
-        let c = v.get("common").unwrap();
-        let r = v.get("rare").unwrap();
-        assert!(v.idf(r) > v.idf(c));
-    }
-
-    #[test]
-    fn rarity_ordering_rarest_first() {
-        let mut v = Vocabulary::new();
-        v.add_document(&doc(&["a", "a", "a", "b", "b", "c"]));
-        let order = v.ids_by_rarity();
-        assert_eq!(v.word(order[0]), "c");
-        assert_eq!(v.word(order[1]), "b");
-        assert_eq!(v.word(order[2]), "a");
-    }
-
-    #[test]
     fn empty_vocab() {
         let v = Vocabulary::new();
         assert!(v.is_empty());
         assert_eq!(v.total_docs(), 0);
-        assert!(v.ids_by_rarity().is_empty());
     }
 }

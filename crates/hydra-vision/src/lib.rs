@@ -135,7 +135,7 @@ impl Default for FaceDetector {
 
 impl FaceDetector {
     /// Detect and extract the face embedding, if any.
-    pub fn detect<'a>(&self, image: &'a ProfileImage) -> Option<&'a FaceEmbedding> {
+    fn detect<'a>(&self, image: &'a ProfileImage) -> Option<&'a FaceEmbedding> {
         match &image.content {
             ImageContent::Face { embedding, quality } if *quality >= self.min_quality => {
                 Some(embedding)
@@ -172,33 +172,6 @@ impl FaceClassifier {
     pub fn score(&self, a: &FaceEmbedding, b: &FaceEmbedding) -> f64 {
         let d = a.distance(b);
         1.0 / (1.0 + (self.slope * (d - self.threshold)).exp())
-    }
-
-    /// Calibrate `(threshold, slope)` on labeled pairs by gradient descent
-    /// on the logistic loss — the stand-in for "pre-training" when a
-    /// validation set is available (Section 7.1 tunes all such parameters on
-    /// a validation set).
-    pub fn calibrate(pairs: &[(f64, bool)], epochs: usize, lr: f64) -> Self {
-        let mut threshold = 0.8;
-        let mut slope = 4.0;
-        for _ in 0..epochs {
-            let mut g_thr = 0.0;
-            let mut g_slope = 0.0;
-            for &(dist, same) in pairs {
-                let z = slope * (dist - threshold);
-                let p = 1.0 / (1.0 + z.exp()); // predicted P(same)
-                let err = p - if same { 1.0 } else { 0.0 };
-                // dp/dthreshold = p(1-p)·slope ; dp/dslope = -p(1-p)(d-thr)
-                g_thr += err * p * (1.0 - p) * slope;
-                g_slope += -err * p * (1.0 - p) * (dist - threshold);
-            }
-            let n = pairs.len().max(1) as f64;
-            threshold -= lr * g_thr / n;
-            slope -= lr * g_slope / n;
-            slope = slope.clamp(0.5, 50.0);
-            threshold = threshold.clamp(0.05, 2.0);
-        }
-        FaceClassifier { threshold, slope }
     }
 }
 
@@ -359,33 +332,5 @@ mod tests {
             FaceMatchOutcome::Score(s) => assert!(s < 0.2, "fake face scored {s}"),
             other => panic!("expected score, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn calibration_improves_operating_point() {
-        let mut r = rng();
-        // Labeled distances: same-person ~0.2, different ~1.3.
-        let mut pairs = Vec::new();
-        for _ in 0..100 {
-            let e = FaceEmbedding::random(&mut r);
-            pairs.push((e.distance(&e.perturbed(0.15, &mut r)), true));
-            pairs.push((e.distance(&FaceEmbedding::random(&mut r)), false));
-        }
-        let cls = FaceClassifier::calibrate(&pairs, 500, 0.5);
-        // The calibrated threshold must separate the two clusters.
-        assert!(
-            cls.threshold > 0.3 && cls.threshold < 1.3,
-            "threshold {}",
-            cls.threshold
-        );
-        let correct = pairs
-            .iter()
-            .filter(|&&(d, same)| {
-                let z = cls.slope * (d - cls.threshold);
-                let p = 1.0 / (1.0 + z.exp());
-                (p > 0.5) == same
-            })
-            .count();
-        assert!(correct as f64 / pairs.len() as f64 > 0.95);
     }
 }

@@ -191,7 +191,7 @@ pub mod collection {
 
     use super::*;
 
-    /// Accepted size arguments for [`vec`].
+    /// Accepted size arguments for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

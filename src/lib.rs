@@ -29,7 +29,7 @@
 //!
 //! * [`core::source::AccountSource`] abstracts the data source — the
 //!   synthetic [`datagen::Dataset`] is one impl; real ingest layers plug in
-//!   by implementing the same accessors. [`core::signals::Signals::extract_from`]
+//!   by implementing the same accessors. [`core::signals::Signals::extract`]
 //!   and [`core::model::Hydra::fit`] are generic over it.
 //! * Training distills into a persistable [`core::LinkageModel`]
 //!   (`trained.model`): `save`/`load` with a versioned binary format whose

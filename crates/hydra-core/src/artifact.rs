@@ -29,7 +29,7 @@ use crate::candidates::CandidateConfig;
 use crate::features::{AttributeImportance, FeatureConfig, FeatureExtractor};
 use crate::missing::FillStrategy;
 use crate::moo::{pack_expansion, MooSolution, MooSolverKind};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use hydra_datagen::attributes::NUM_ATTRS;
 use hydra_linalg::dense::Mat;
 use hydra_linalg::kernels::Kernel;
@@ -177,38 +177,38 @@ impl From<std::io::Error> for ModelIoError {
     }
 }
 
-/// Checked little-endian reader over the bytes shim (the shim's raw reads
-/// panic past the end; loading must error instead). Tracks the absolute
-/// byte offset and the wire-format section being decoded so every error
-/// pinpoints where decoding failed.
+/// Checked little-endian reader over a borrowed buffer (decoding copies
+/// nothing it does not return). Tracks the absolute byte offset and the
+/// wire-format section being decoded so every error pinpoints where
+/// decoding failed.
 ///
 /// Public because every HYDRA wire format decodes through it — the `HYLM`
 /// model and `HYSX` extractor artifacts here, and the `hydra-net` socket
 /// frames and population artifact, which reuse the same typed-diagnostic
 /// discipline (offset + section on every failure, never a panic).
-pub struct Reader {
-    buf: Bytes,
-    total: usize,
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
     section: &'static str,
 }
 
-impl Reader {
-    pub fn new(bytes: &[u8]) -> Self {
+impl<'a> Reader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Self {
         Reader {
-            buf: Bytes::from(bytes.to_vec()),
-            total: bytes.len(),
+            buf: bytes,
+            pos: 0,
             section: "header",
         }
     }
 
     /// Bytes left unread.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 
     /// Absolute offset of the next unread byte.
     pub fn offset(&self) -> usize {
-        self.total - self.buf.remaining()
+        self.pos
     }
 
     /// Name the wire-format section subsequent reads belong to (decode
@@ -227,11 +227,11 @@ impl Reader {
     }
 
     pub fn need(&self, n: usize) -> Result<(), ModelIoError> {
-        if self.buf.remaining() < n {
+        if self.remaining() < n {
             Err(ModelIoError::Truncated {
                 offset: self.offset(),
                 needed: n,
-                remaining: self.buf.remaining(),
+                remaining: self.remaining(),
                 section: self.section,
             })
         } else {
@@ -239,29 +239,34 @@ impl Reader {
         }
     }
 
-    pub fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ModelIoError> {
+    /// The next `n` bytes, borrowed from the input.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ModelIoError> {
         self.need(n)?;
-        Ok(self.buf.take_bytes(n).to_vec())
+        let out = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ModelIoError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
     }
 
     pub fn u8(&mut self) -> Result<u8, ModelIoError> {
-        self.need(1)?;
-        Ok(self.buf.take_bytes(1)[0])
+        Ok(self.array::<1>()?[0])
     }
 
     pub fn u16(&mut self) -> Result<u16, ModelIoError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, ModelIoError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, ModelIoError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn usize(&mut self) -> Result<usize, ModelIoError> {
@@ -275,8 +280,7 @@ impl Reader {
     }
 
     pub fn f64(&mut self) -> Result<f64, ModelIoError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     /// Bounded length prefix: a count that implies at least
@@ -286,20 +290,29 @@ impl Reader {
         let at = self.offset();
         let n = self.usize()?;
         let implied = n.saturating_mul(elem_bytes.max(1));
-        if implied > self.buf.remaining() {
+        if implied > self.remaining() {
             return Err(ModelIoError::Truncated {
                 offset: at,
                 needed: implied,
-                remaining: self.buf.remaining(),
+                remaining: self.remaining(),
                 section: self.section,
             });
         }
         Ok(n)
     }
 
+    /// A length-prefixed run of `f64`s, read with one bounds check.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, ModelIoError> {
         let n = self.len_prefix(8)?;
-        (0..n).map(|_| self.f64()).collect()
+        let raw = self.bytes(n * 8)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(c);
+                f64::from_le_bytes(b)
+            })
+            .collect())
     }
 }
 
@@ -321,7 +334,9 @@ pub fn put_str(w: &mut BytesMut, s: &str) {
 pub fn read_str(r: &mut Reader) -> Result<String, ModelIoError> {
     let n = r.len_prefix(1)?;
     let bytes = r.bytes(n)?;
-    String::from_utf8(bytes).map_err(|e| r.corrupt(format!("invalid utf-8 string: {e}")))
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|e| r.corrupt(format!("invalid utf-8 string: {e}")))
 }
 
 fn put_kernel(w: &mut BytesMut, k: Kernel) {
@@ -510,6 +525,25 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Decode a checksummed body while hashing it: FNV-1a over `body` runs on
+/// a second core ([`hydra_par::join`]; after the decode when there is one
+/// worker thread) while `decode` reads the same bytes on this one. A hash that differs from `expected` wins over whatever the
+/// decode returned, so a torn or flipped body reports `mismatch(actual)`
+/// exactly as it did when the hash ran first. `decode` therefore sees
+/// unverified bytes and must turn every malformed input into an error.
+pub fn decode_checksummed<T>(
+    body: &[u8],
+    expected: u64,
+    decode: impl FnOnce() -> Result<T, ModelIoError>,
+    mismatch: impl FnOnce(u64) -> ModelIoError,
+) -> Result<T, ModelIoError> {
+    let (decoded, actual) = hydra_par::join(decode, || fnv1a(body));
+    if actual != expected {
+        return Err(mismatch(actual));
+    }
+    decoded
+}
+
 impl LinkageModel {
     /// Serialize the config section (the fingerprinted part of the wire
     /// format).
@@ -542,7 +576,7 @@ impl LinkageModel {
     }
 
     fn decode_config(
-        bytes: Vec<u8>,
+        bytes: &[u8],
     ) -> Result<
         (
             u32,
@@ -553,7 +587,7 @@ impl LinkageModel {
         ),
         ModelIoError,
     > {
-        let mut r = Reader::new(&bytes);
+        let mut r = Reader::new(bytes);
         r.set_section("config");
         let window_days = r.u32()?;
         let fill = match r.u8()? {
@@ -658,11 +692,11 @@ impl LinkageModel {
         let config_len = r.u32()? as usize;
         r.set_section("config");
         let config_bytes = r.bytes(config_len)?;
-        if fnv1a(&config_bytes) != fingerprint {
+        if fnv1a(config_bytes) != fingerprint {
             return Err(r.corrupt(format!(
                 "config fingerprint mismatch (header says {fingerprint:#018x}, \
                  config hashes to {:#018x})",
-                fnv1a(&config_bytes)
+                fnv1a(config_bytes)
             )));
         }
         let (window_days, fill, candidates, feature, tasks) = Self::decode_config(config_bytes)?;

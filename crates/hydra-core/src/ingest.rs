@@ -41,7 +41,9 @@
 //! payload, so corruption loads as a [`ModelIoError`], never a panic, and a
 //! loaded extractor produces byte-identical signals.
 
-use crate::artifact::{fnv1a, load_bytes, write_atomic, LinkageModel, ModelIoError, Reader};
+use crate::artifact::{
+    decode_checksummed, fnv1a, load_bytes, write_atomic, LinkageModel, ModelIoError, Reader,
+};
 use crate::signals::{extract_account, SignalConfig, UserSignals};
 use crate::source::{AccountSource, AccountView};
 use bytes::{BufMut, BytesMut};
@@ -481,7 +483,12 @@ impl SignalExtractor {
                 return Err(r.corrupt(format!("duplicate word {word:?}")));
             }
             words.push(word);
-            term_freq.push(r.u64()?);
+            let tf = r.u64()?;
+            // The style index keeps a flag in a count's top bit.
+            if tf >> 63 != 0 {
+                return Err(r.corrupt(format!("term frequency {tf} out of range")));
+            }
+            term_freq.push(tf);
             doc_freq.push(r.u64()?);
         }
         let total_tokens = r.u64()?;
@@ -497,7 +504,7 @@ impl SignalExtractor {
         if num_topics == 0 || vocab_size == 0 {
             return Err(r.corrupt("degenerate LDA shape"));
         }
-        if tw_len != num_topics * vocab_size {
+        if Some(tw_len) != num_topics.checked_mul(vocab_size) {
             return Err(r.corrupt(format!(
                 "topic-word count length {tw_len} != {num_topics}×{vocab_size}"
             )));
@@ -692,7 +699,7 @@ impl ServingArtifact {
         r.set_section("bundled model");
         let model_len = r.len_prefix(1)?;
         let model_bytes = r.bytes(model_len)?;
-        let model = LinkageModel::from_bytes(&model_bytes)?;
+        let model = LinkageModel::from_bytes(model_bytes)?;
         let extractor = read_fingerprinted_payload(&mut r)?;
         if r.remaining() != 0 {
             return Err(r.corrupt(format!("{} trailing bytes", r.remaining())));
@@ -725,11 +732,13 @@ fn read_str32(r: &mut Reader) -> Result<String, ModelIoError> {
     let len = r.u32()? as usize;
     let at = r.offset();
     let bytes = r.bytes(len)?;
-    String::from_utf8(bytes).map_err(|_| ModelIoError::Corrupt {
-        offset: at,
-        section: "string",
-        what: "invalid utf-8 string".into(),
-    })
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|_| ModelIoError::Corrupt {
+            offset: at,
+            section: "string",
+            what: "invalid utf-8 string".into(),
+        })
 }
 
 fn read_char(r: &mut Reader) -> Result<char, ModelIoError> {
@@ -744,7 +753,7 @@ fn read_char(r: &mut Reader) -> Result<char, ModelIoError> {
 
 /// Validate magic / version / kind, returning a reader positioned after the
 /// kind byte.
-fn read_header(bytes: &[u8], expect_kind: u8) -> Result<Reader, ModelIoError> {
+fn read_header(bytes: &[u8], expect_kind: u8) -> Result<Reader<'_>, ModelIoError> {
     let mut r = Reader::new(bytes);
     let found = r.bytes(4)?;
     if found != MAGIC {
@@ -780,14 +789,17 @@ fn read_fingerprinted_payload(r: &mut Reader) -> Result<SignalExtractor, ModelIo
     let fingerprint = r.u64()?;
     let payload_len = r.len_prefix(1)?;
     let payload = r.bytes(payload_len)?;
-    if fnv1a(&payload) != fingerprint {
-        return Err(r.corrupt(format!(
-            "extractor fingerprint mismatch (header says {fingerprint:#018x}, \
-             payload hashes to {:#018x})",
-            fnv1a(&payload)
-        )));
-    }
-    SignalExtractor::decode_payload(&payload)
+    decode_checksummed(
+        payload,
+        fingerprint,
+        || SignalExtractor::decode_payload(payload),
+        |actual| {
+            r.corrupt(format!(
+                "extractor fingerprint mismatch (header says {fingerprint:#018x}, \
+                 payload hashes to {actual:#018x})"
+            ))
+        },
+    )
 }
 
 #[cfg(test)]

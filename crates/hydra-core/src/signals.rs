@@ -16,38 +16,95 @@ use hydra_text::sentiment::NUM_SENTIMENTS;
 use hydra_text::{FoldInScratch, FoldInTables, LdaModel, UniqueWordProfile};
 use hydra_vision::ProfileImage;
 
-/// Sparse per-day distribution series: `days[k]` is the day index of
-/// `dists[k]` (both sorted ascending, one entry per active day).
+/// Sparse per-day distribution series: `days[k]` is the day index of the
+/// `k`-th row of `dists` (sorted ascending, one entry per active day).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DaySeries {
     /// Active day indices, ascending.
     pub days: Vec<u16>,
     /// L1-normalized distribution per active day.
-    pub dists: Vec<Vec<f64>>,
+    pub dists: DayDists,
+}
+
+/// The per-day distributions of a [`DaySeries`], stored as one flat
+/// row-major buffer: row `k` is `flat[k * dim..(k + 1) * dim]`. One
+/// allocation per series instead of one per active day, which is what
+/// extraction, decoding and cloning a population spend their time on.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DayDists {
+    rows: usize,
+    dim: usize,
+    flat: Vec<f64>,
+}
+
+impl DayDists {
+    /// Rows in order, each `dim` values wide.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        (0..self.rows).map(move |k| &self.flat[k * self.dim..(k + 1) * self.dim])
+    }
+
+    /// L1-normalize every row in place.
+    fn normalize_rows(&mut self) {
+        for row in self.flat.chunks_mut(self.dim.max(1)) {
+            normalize_l1(row);
+        }
+    }
 }
 
 impl DaySeries {
     /// Build from (day, distribution) accumulation: entries on the same day
     /// are summed then normalized.
+    ///
+    /// # Panics
+    /// Panics when the distributions do not all have the same width.
     pub fn from_events(mut events: Vec<(u16, Vec<f64>)>) -> Self {
         events.sort_by_key(|e| e.0);
+        let dim = events.first().map_or(0, |e| e.1.len());
         let mut days = Vec::new();
-        let mut dists: Vec<Vec<f64>> = Vec::new();
+        let mut flat: Vec<f64> = Vec::with_capacity(events.len() * dim);
         for (d, dist) in events {
+            assert_eq!(dist.len(), dim, "day-series distributions differ in width");
             if days.last() == Some(&d) {
-                let acc = dists.last_mut().expect("parallel arrays");
-                for (a, v) in acc.iter_mut().zip(dist.iter()) {
+                let off = flat.len() - dim;
+                for (a, v) in flat[off..].iter_mut().zip(dist.iter()) {
                     *a += v;
                 }
             } else {
                 days.push(d);
-                dists.push(dist);
+                flat.extend_from_slice(&dist);
             }
         }
-        for d in dists.iter_mut() {
-            normalize_l1(d);
-        }
+        let mut dists = DayDists {
+            rows: days.len(),
+            dim,
+            flat,
+        };
+        dists.normalize_rows();
         DaySeries { days, dists }
+    }
+
+    /// A series over `days` whose `k`-th distribution is
+    /// `flat[k * dim..(k + 1) * dim]`, taken as given (decoders check the
+    /// days ascend first).
+    ///
+    /// # Panics
+    /// Panics when `flat.len() != days.len() * dim`.
+    pub fn from_flat(days: Vec<u16>, dim: usize, flat: Vec<f64>) -> Self {
+        assert_eq!(
+            Some(flat.len()),
+            days.len().checked_mul(dim),
+            "flat day-series buffer does not hold one {dim}-wide row per day"
+        );
+        DaySeries {
+            dists: DayDists {
+                rows: days.len(),
+                // An empty series has no width, however it was built, so
+                // equal series compare equal.
+                dim: if days.is_empty() { 0 } else { dim },
+                flat,
+            },
+            days,
+        }
     }
 
     /// Number of active days.
@@ -73,7 +130,7 @@ impl DaySeries {
                         *a += v;
                     }
                 }
-                _ => out.push((b, dist.clone())),
+                _ => out.push((b, dist.to_vec())),
             }
         }
         for (_, d) in out.iter_mut() {
@@ -86,7 +143,7 @@ impl DaySeries {
     /// empty series).
     fn long_term_mean(&self, dim: usize) -> Vec<f64> {
         let mut acc = vec![0.0; dim];
-        for d in &self.dists {
+        for d in self.dists.iter() {
             for (a, v) in acc.iter_mut().zip(d.iter()) {
                 *a += v;
             }
@@ -98,12 +155,7 @@ impl DaySeries {
     /// Approximate heap size (length-based; ignores allocator slack).
     pub fn heap_bytes(&self) -> usize {
         self.days.len() * std::mem::size_of::<u16>()
-            + self.dists.len() * std::mem::size_of::<Vec<f64>>()
-            + self
-                .dists
-                .iter()
-                .map(|d| d.len() * std::mem::size_of::<f64>())
-                .sum::<usize>()
+            + self.dists.flat.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -196,7 +248,7 @@ impl BucketedSeries {
     /// Bucket a series at each scale — same accumulate-then-normalize
     /// arithmetic as [`DaySeries::bucketed`], so values are bit-identical.
     pub fn build(series: &DaySeries, scales: &[u16]) -> Self {
-        let dim = series.dists.first().map_or(0, Vec::len);
+        let dim = series.dists.dim;
         let per_scale = scales
             .iter()
             .map(|&scale| {
@@ -786,7 +838,8 @@ thread_local! {
 struct DayAcc {
     dim: usize,
     days: Vec<u16>,
-    dists: Vec<Vec<f64>>,
+    /// One `dim`-wide accumulator per entry of `days`, row-major.
+    flat: Vec<f64>,
 }
 
 impl DayAcc {
@@ -794,58 +847,50 @@ impl DayAcc {
         DayAcc {
             dim,
             days: Vec::new(),
-            dists: Vec::new(),
+            flat: Vec::new(),
         }
     }
 
-    /// Index of `day`'s accumulator, inserting a zeroed slot if absent.
+    /// `day`'s accumulator row, inserting a zeroed one if absent.
     #[inline]
-    fn slot(&mut self, day: u16) -> usize {
-        match self.days.last() {
+    fn slot(&mut self, day: u16) -> &mut [f64] {
+        let dim = self.dim;
+        let i = match self.days.last() {
             Some(&d) if d == day => self.days.len() - 1,
-            Some(&d) if d < day => {
-                self.days.push(day);
-                self.dists.push(vec![0.0; self.dim]);
-                self.days.len() - 1
-            }
-            None => {
-                self.days.push(day);
-                self.dists.push(vec![0.0; self.dim]);
-                0
-            }
-            _ => match self.days.binary_search(&day) {
+            Some(&d) if d > day => match self.days.binary_search(&day) {
                 Ok(i) => i,
                 Err(i) => {
                     self.days.insert(i, day);
-                    self.dists.insert(i, vec![0.0; self.dim]);
+                    self.flat
+                        .splice(i * dim..i * dim, std::iter::repeat_n(0.0, dim));
                     i
                 }
             },
-        }
+            _ => {
+                self.days.push(day);
+                self.flat.resize(self.flat.len() + dim, 0.0);
+                self.days.len() - 1
+            }
+        };
+        &mut self.flat[i * dim..(i + 1) * dim]
     }
 
     #[inline]
     fn add(&mut self, day: u16, vals: &[f64]) {
-        let i = self.slot(day);
-        for (a, v) in self.dists[i].iter_mut().zip(vals) {
+        for (a, v) in self.slot(day).iter_mut().zip(vals) {
             *a += v;
         }
     }
 
     #[inline]
     fn add_one_hot(&mut self, day: u16, pos: usize) {
-        let i = self.slot(day);
-        self.dists[i][pos] += 1.0;
+        self.slot(day)[pos] += 1.0;
     }
 
-    fn finish(mut self) -> DaySeries {
-        for d in self.dists.iter_mut() {
-            normalize_l1(d);
-        }
-        DaySeries {
-            days: self.days,
-            dists: self.dists,
-        }
+    fn finish(self) -> DaySeries {
+        let mut series = DaySeries::from_flat(self.days, self.dim, self.flat);
+        series.dists.normalize_rows();
+        series
     }
 }
 
@@ -1025,8 +1070,8 @@ mod tests {
             (3, vec![1.0, 0.0]),
         ]);
         assert_eq!(s.days, vec![1, 3]);
-        assert_eq!(s.dists[1], vec![1.0, 0.0]);
-        assert_eq!(s.dists[0], vec![0.0, 1.0]);
+        let rows: Vec<&[f64]> = s.dists.iter().collect();
+        assert_eq!(rows, [[0.0, 1.0], [1.0, 0.0]]);
     }
 
     #[test]

@@ -40,7 +40,17 @@ pub(crate) fn put_u32_vec(w: &mut BytesMut, v: &[u32]) {
 
 pub(crate) fn read_u32_vec(r: &mut Reader) -> Result<Vec<u32>, ModelIoError> {
     let n = r.len_prefix(4)?;
-    (0..n).map(|_| r.u32()).collect()
+    Ok(le_values(r.bytes(n * 4)?).map(u32::from_le_bytes).collect())
+}
+
+/// The `N`-byte little-endian values packed back to back in `raw` (whole
+/// values only: callers take `raw` from one bounds-checked read).
+fn le_values<const N: usize>(raw: &[u8]) -> impl Iterator<Item = [u8; N]> + '_ {
+    raw.chunks_exact(N).map(|c| {
+        let mut value = [0u8; N];
+        value.copy_from_slice(c);
+        value
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -51,20 +61,49 @@ fn put_day_series(w: &mut BytesMut, s: &DaySeries) {
     for &d in &s.days {
         w.put_u16_le(d);
     }
-    w.put_u64_le(s.dists.len() as u64);
-    for dist in &s.dists {
+    w.put_u64_le(s.dists.iter().len() as u64);
+    for dist in s.dists.iter() {
         put_f64_vec(w, dist);
     }
 }
 
+/// Decode a [`put_day_series`] series into flat storage. Bucketing reads
+/// day `k` beside distribution `k` and merges neighbouring days, so a
+/// series whose counts differ, whose distributions differ in width or
+/// whose days do not strictly ascend is refused here rather than silently
+/// truncated or merged into the wrong bucket later.
 fn read_day_series(r: &mut Reader) -> Result<DaySeries, ModelIoError> {
     let nd = r.len_prefix(2)?;
-    let days = (0..nd).map(|_| r.u16()).collect::<Result<Vec<_>, _>>()?;
+    let days: Vec<u16> = le_values(r.bytes(nd * 2)?)
+        .map(u16::from_le_bytes)
+        .collect();
+    if let Some(k) = days.windows(2).position(|w| w[0] >= w[1]) {
+        return Err(r.corrupt(format!(
+            "day series: day {} at position {} does not follow day {} (days must strictly ascend)",
+            days[k + 1],
+            k + 1,
+            days[k]
+        )));
+    }
     let nv = r.len_prefix(8)?;
-    let dists = (0..nv)
-        .map(|_| r.f64_vec())
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(DaySeries { days, dists })
+    if nv != nd {
+        return Err(r.corrupt(format!("day series: {nv} distributions for {nd} days")));
+    }
+    let mut dim = 0;
+    let mut flat = Vec::new();
+    for k in 0..nv {
+        let width = r.len_prefix(8)?;
+        if k == 0 {
+            dim = width;
+            flat.reserve_exact(nv.saturating_mul(dim).min(r.remaining() / 8));
+        } else if width != dim {
+            return Err(r.corrupt(format!(
+                "day series: distribution {k} has {width} values, distribution 0 has {dim}"
+            )));
+        }
+        flat.extend(le_values(r.bytes(width * 8)?).map(f64::from_le_bytes));
+    }
+    Ok(DaySeries::from_flat(days, dim, flat))
 }
 
 fn put_attrs(w: &mut BytesMut, attrs: &AttrValues) {
@@ -245,7 +284,9 @@ pub fn put_graph(w: &mut BytesMut, g: &SocialGraph) {
 
 /// Decode a graph by deterministic rebuild through [`GraphBuilder`] —
 /// bitwise the CSR the original held (builder construction is canonical).
-pub fn read_graph(r: &mut Reader) -> Result<SocialGraph, ModelIoError> {
+/// A graph whose node count is not `slots`, the account slots it belongs
+/// to, is refused before the CSR (one offset per node) is allocated.
+pub fn read_graph(r: &mut Reader, slots: usize) -> Result<SocialGraph, ModelIoError> {
     let num_nodes = r.usize()?;
     if num_nodes > u32::MAX as usize {
         return Err(r.corrupt(format!("graph node count {num_nodes} overflows u32")));
@@ -261,7 +302,17 @@ pub fn read_graph(r: &mut Reader) -> Result<SocialGraph, ModelIoError> {
                 "graph edge ({a}, {b}) references a node outside 0..{num_nodes}"
             )));
         }
+        if !(weight > 0.0) {
+            return Err(r.corrupt(format!(
+                "graph edge ({a}, {b}) has weight {weight}; interaction weights are positive"
+            )));
+        }
         builder.add_edge(a, b, weight);
+    }
+    if num_nodes != slots {
+        return Err(r.corrupt(format!(
+            "graph has {num_nodes} nodes but {slots} account slots"
+        )));
     }
     Ok(builder.build())
 }
@@ -476,10 +527,8 @@ mod tests {
                 quality: 0.875,
             },
         });
-        sig.topic_days = DaySeries {
-            days: vec![1, 5, 9],
-            dists: vec![vec![0.5, 0.5], vec![1.0, 0.0], vec![0.25, 0.75]],
-        };
+        sig.topic_days =
+            DaySeries::from_flat(vec![1, 5, 9], 2, vec![0.5, 0.5, 1.0, 0.0, 0.25, 0.75]);
         sig.style = UniqueWordProfile {
             words: vec!["clownfish".into(), "anemone".into()],
         };
@@ -526,6 +575,66 @@ mod tests {
         assert_eq!(back.media.as_slice(), sig.media.as_slice());
     }
 
+    /// A day series' wire bytes: the days, then one length-prefixed
+    /// distribution per entry of `rows`.
+    fn day_series_bytes(days: &[u16], rows: &[&[f64]]) -> Vec<u8> {
+        let mut w = BytesMut::with_capacity(64);
+        w.put_u64_le(days.len() as u64);
+        for &d in days {
+            w.put_u16_le(d);
+        }
+        w.put_u64_le(rows.len() as u64);
+        for row in rows {
+            put_f64_vec(&mut w, row);
+        }
+        w.into()
+    }
+
+    fn read_corrupt_day_series(bytes: &[u8]) -> String {
+        match read_day_series(&mut Reader::new(bytes)) {
+            Err(ModelIoError::Corrupt { what, .. }) => what,
+            other => panic!("expected a Corrupt day series, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn day_series_round_trips_flat() {
+        let bytes = day_series_bytes(&[1, 5, 9], &[&[0.5, 0.5], &[1.0, 0.0], &[0.25, 0.75]]);
+        let mut r = Reader::new(&bytes);
+        let series = read_day_series(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(series.days, [1, 5, 9]);
+        let rows: Vec<&[f64]> = series.dists.iter().collect();
+        assert_eq!(rows, [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]);
+        let mut w = BytesMut::with_capacity(64);
+        put_day_series(&mut w, &series);
+        assert_eq!(Vec::from(w), bytes);
+    }
+
+    #[test]
+    fn day_series_with_more_days_than_distributions_is_corrupt() {
+        let what = read_corrupt_day_series(&day_series_bytes(&[1, 5, 9], &[&[1.0], &[1.0]]));
+        assert!(what.contains("2 distributions for 3 days"), "{what}");
+    }
+
+    #[test]
+    fn day_series_with_ragged_distributions_is_corrupt() {
+        let what =
+            read_corrupt_day_series(&day_series_bytes(&[1, 5], &[&[0.5, 0.5], &[0.2, 0.3, 0.5]]));
+        assert!(what.contains("distribution 1 has 3 values"), "{what}");
+    }
+
+    #[test]
+    fn day_series_with_days_out_of_order_is_corrupt() {
+        for days in [[5u16, 1], [4, 4]] {
+            let what = read_corrupt_day_series(&day_series_bytes(&days, &[&[1.0], &[1.0]]));
+            assert!(
+                what.contains("days must strictly ascend"),
+                "{days:?}: {what}"
+            );
+        }
+    }
+
     #[test]
     fn graph_round_trip_canonical() {
         let mut b = GraphBuilder::new(5);
@@ -538,7 +647,7 @@ mod tests {
         put_graph(&mut w, &g);
         let bytes = w.freeze().to_vec();
         let mut r = Reader::new(&bytes);
-        let back = read_graph(&mut r).unwrap();
+        let back = read_graph(&mut r, 5).unwrap();
         assert_eq!(back.num_nodes(), g.num_nodes());
         let ea: Vec<_> = g.edges().map(|(a, b, w)| (a, b, w.to_bits())).collect();
         let eb: Vec<_> = back.edges().map(|(a, b, w)| (a, b, w.to_bits())).collect();
@@ -548,6 +657,34 @@ mod tests {
         let mut w2 = BytesMut::with_capacity(64);
         put_graph(&mut w2, &back);
         assert_eq!(bytes, w2.freeze().to_vec());
+    }
+
+    #[test]
+    fn graph_with_a_non_positive_weight_or_the_wrong_node_count_is_corrupt() {
+        let graph_bytes = |num_nodes: u64, weight: f64| {
+            let mut w = BytesMut::with_capacity(64);
+            w.put_u64_le(num_nodes);
+            w.put_u64_le(1);
+            w.put_u32_le(0);
+            w.put_u32_le(1);
+            w.put_f64_le(weight);
+            Vec::from(w)
+        };
+        for weight in [0.0, -1.0, f64::NAN] {
+            let bytes = graph_bytes(2, weight);
+            assert!(
+                matches!(
+                    read_graph(&mut Reader::new(&bytes), 2),
+                    Err(ModelIoError::Corrupt { ref what, .. }) if what.contains("weight")
+                ),
+                "weight {weight}"
+            );
+        }
+        let bytes = graph_bytes(3, 1.0);
+        assert!(matches!(
+            read_graph(&mut Reader::new(&bytes), 2),
+            Err(ModelIoError::Corrupt { ref what, .. }) if what.contains("account slots")
+        ));
     }
 
     #[test]

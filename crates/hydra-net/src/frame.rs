@@ -64,7 +64,7 @@ impl Frame {
         let header = Header::read(&mut r)?;
         r.set_section("frame payload");
         let payload = r.bytes(header.len)?;
-        Ok((header.frame(payload)?, HEADER_LEN + header.len))
+        Ok((header.frame(payload.to_vec())?, HEADER_LEN + header.len))
     }
 
     /// Write the frame to a socket (or any writer), flushing.
@@ -104,7 +104,7 @@ impl Header {
         let magic = r.bytes(4)?;
         if magic != MAGIC {
             let mut found = [0u8; 4];
-            found.copy_from_slice(&magic);
+            found.copy_from_slice(magic);
             return Err(ModelIoError::BadMagic {
                 expected: MAGIC,
                 found,

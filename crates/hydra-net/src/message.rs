@@ -489,7 +489,7 @@ impl Message {
                     let blob = r.bytes(n)?;
                     // A malformed blob is a wire error; a valid blob with a
                     // newer version than this build reads as absent.
-                    MetricsSnapshot::from_bytes(&blob)
+                    MetricsSnapshot::from_bytes(blob)
                         .map_err(|e| r.corrupt(format!("metrics snapshot: {e}")))?
                 };
                 Message::StatusResp { info, metrics }

@@ -56,7 +56,8 @@ use crate::codec;
 use crate::NetError;
 use bytes::{BufMut, BytesMut};
 use hydra_core::artifact::{
-    fnv1a, load_bytes, put_str, read_str, write_atomic, ModelIoError, Reader, TaskSpec,
+    decode_checksummed, fnv1a, load_bytes, put_str, read_str, write_atomic, ModelIoError, Reader,
+    TaskSpec,
 };
 use hydra_core::routing;
 use hydra_core::signals::{Signals, UserSignals};
@@ -68,6 +69,10 @@ use std::collections::BTreeSet;
 pub const MAGIC: [u8; 4] = *b"HYPP";
 /// The one format version this build writes and reads.
 pub const VERSION: u16 = 2;
+/// Byte offset of the body checksum in the header.
+const CHECKSUM_AT: usize = 4 + 2;
+/// Header length; the body starts here.
+const HEADER_LEN: usize = CHECKSUM_AT + 8;
 
 /// A serialized population: everything a shard server needs, beyond the
 /// serving artifact, to stand up its partition — the full corpus
@@ -251,48 +256,51 @@ impl PopulationArtifact {
     /// written — their in-memory placeholders are reconstructed on
     /// decode, which is what makes a 4-way slice ~1/4 the bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = BytesMut::with_capacity(64);
-        body.put_u64_le(self.extractor_fingerprint);
-        body.put_u32_le(self.window_days);
-        body.put_u32_le(self.shard);
-        body.put_u32_le(self.num_shards);
-        body.put_u64_le(self.per_platform.len() as u64);
+        // The body is encoded straight after the header, into one buffer,
+        // and its checksum written into the slot reserved for it.
+        let mut w = BytesMut::with_capacity(64);
+        w.put_slice(&MAGIC);
+        w.put_u16_le(VERSION);
+        w.put_u64_le(0);
+        w.put_u64_le(self.extractor_fingerprint);
+        w.put_u32_le(self.window_days);
+        w.put_u32_le(self.shard);
+        w.put_u32_le(self.num_shards);
+        w.put_u64_le(self.per_platform.len() as u64);
         for (p, side) in self.per_platform.iter().enumerate() {
-            body.put_u64_le(side.len() as u64);
+            w.put_u64_le(side.len() as u64);
             for username in &self.usernames[p] {
-                put_str(&mut body, username);
+                put_str(&mut w, username);
             }
             let present: Vec<u32> = (0..side.len() as u32)
                 .filter(|&a| self.present[p][a as usize])
                 .collect();
-            body.put_u64_le(present.len() as u64);
+            w.put_u64_le(present.len() as u64);
             for a in present {
-                body.put_u32_le(a);
-                codec::put_signals(&mut body, &side[a as usize]);
+                w.put_u32_le(a);
+                codec::put_signals(&mut w, &side[a as usize]);
             }
         }
         for graph in &self.graphs {
-            codec::put_graph(&mut body, graph);
+            codec::put_graph(&mut w, graph);
         }
-        let body = body.freeze().to_vec();
-        let mut w = BytesMut::with_capacity(4 + 2 + 8 + body.len());
-        w.put_slice(&MAGIC);
-        w.put_u16_le(VERSION);
-        w.put_u64_le(fnv1a(&body));
-        w.put_slice(&body);
-        w.freeze().to_vec()
+        let checksum = fnv1a(&w[HEADER_LEN..]);
+        w[CHECKSUM_AT..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        w.into()
     }
 
     /// Decode, verifying magic, version, and body checksum. Every
     /// malformed input — any truncation prefix included — surfaces a
-    /// typed [`ModelIoError`], never a panic.
+    /// typed [`ModelIoError`], never a panic. The body is hashed on a
+    /// second core while it decodes; a checksum mismatch is reported in
+    /// place of any decode error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
         let mut r = Reader::new(bytes);
         r.set_section("population header");
         let magic = r.bytes(4)?;
         if magic != MAGIC {
             let mut found = [0u8; 4];
-            found.copy_from_slice(&magic);
+            found.copy_from_slice(magic);
             return Err(ModelIoError::BadMagic {
                 expected: MAGIC,
                 found,
@@ -307,18 +315,25 @@ impl PopulationArtifact {
         }
         let checksum = r.u64()?;
         let body = r.bytes(r.remaining())?;
-        let actual = fnv1a(&body);
-        if actual != checksum {
-            return Err(ModelIoError::Corrupt {
-                offset: 4 + 2,
+        decode_checksummed(
+            body,
+            checksum,
+            || Self::decode_body(body),
+            |actual| {
+                ModelIoError::Corrupt {
+                offset: CHECKSUM_AT,
                 section: "population header",
                 what: format!(
                     "body checksum mismatch: header says {checksum:#018x}, bytes hash to {actual:#018x}"
                 ),
-            });
-        }
+            }
+            },
+        )
+    }
 
-        let mut r = Reader::new(&body);
+    /// Decode the body (offsets in errors are relative to its start).
+    fn decode_body(body: &[u8]) -> Result<Self, ModelIoError> {
+        let mut r = Reader::new(body);
         r.set_section("population body");
         let extractor_fingerprint = r.u64()?;
         let window_days = r.u32()?;
@@ -383,18 +398,10 @@ impl PopulationArtifact {
             usernames.push(column);
         }
         r.set_section("population graphs");
-        let mut graphs = Vec::with_capacity(num_platforms);
-        for p in 0..num_platforms {
-            let graph = codec::read_graph(&mut r)?;
-            if graph.num_nodes() != per_platform[p].len() {
-                return Err(r.corrupt(format!(
-                    "platform {p}: graph has {} nodes but {} account slots",
-                    graph.num_nodes(),
-                    per_platform[p].len()
-                )));
-            }
-            graphs.push(graph);
-        }
+        let graphs = per_platform
+            .iter()
+            .map(|side| codec::read_graph(&mut r, side.len()))
+            .collect::<Result<Vec<_>, _>>()?;
         if r.remaining() != 0 {
             return Err(r.corrupt(format!(
                 "{} trailing bytes after population body",

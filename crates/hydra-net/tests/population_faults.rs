@@ -144,8 +144,9 @@ fn every_prefix_truncation_is_a_typed_error_full_and_sliced() {
         // Byte-exact through the header and early body, where each cut
         // lands in a different decode path; strided through the bulk,
         // where every cut fails identically at the body-checksum gate
-        // (the checksum is verified before any structural decode, so a
-        // denser sweep exercises nothing new — it only re-hashes).
+        // (the body decodes while it is hashed, but a checksum mismatch
+        // is reported in place of any decode error, so a denser sweep
+        // only repeats that outcome).
         let mut len = 0;
         while len < bytes.len() {
             // Must be an error (never a panic, never a huge speculative

@@ -118,6 +118,43 @@ where
         .collect()
 }
 
+/// Run two independent jobs and return both results: `a` on the calling
+/// thread while `b` runs on a scoped second thread, or `a` then `b` on the
+/// caller when [`num_threads`] is 1. A panic in either job reaches the
+/// caller after both have finished.
+///
+/// `a` stays on the caller so what it allocates comes from the caller's
+/// allocator state, as it would without the second job.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    join_threads(num_threads(), a, b)
+}
+
+/// [`join`] with an explicit worker count.
+fn join_threads<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let b = scope.spawn(b);
+        let ra = a();
+        match b.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 /// Raw-pointer wrapper asserting cross-thread transferability; soundness is
 /// argued at the single write per claimed index in [`par_map`].
 struct SendSlice<U>(*mut Option<U>);
@@ -332,6 +369,20 @@ mod tests {
                 }
                 Ok(v) => assert_eq!(*v, x * 2),
             }
+        }
+    }
+
+    #[test]
+    fn join_returns_both_results_at_any_thread_count() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2] {
+            let (a, (b, b_thread)) = join_threads(
+                threads,
+                || (0..100u64).sum::<u64>(),
+                || ((1..6u64).product::<u64>(), std::thread::current().id()),
+            );
+            assert_eq!((a, b), (4950, 120));
+            assert_eq!(b_thread == caller, threads == 1);
         }
     }
 

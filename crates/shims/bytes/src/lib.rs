@@ -1,39 +1,7 @@
 //! Offline stand-in for the `bytes` crate: `BytesMut` (growable writer),
-//! `Bytes` (immutable cursor-backed reader), and the little-endian subsets
-//! of `Buf`/`BufMut` the workspace's binary export format uses.
-
-/// Read cursor over a byte buffer.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Read raw bytes, advancing the cursor.
-    fn take_bytes(&mut self, n: usize) -> &[u8];
-
-    /// Read a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.take_bytes(2).try_into().unwrap())
-    }
-
-    /// Read a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take_bytes(4).try_into().unwrap())
-    }
-
-    /// Read a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-
-    /// Read a little-endian `i64`.
-    fn get_i64_le(&mut self) -> i64 {
-        i64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-
-    /// Read a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-}
+//! `Bytes` (its frozen contents), and the little-endian subset of
+//! `BufMut` the workspace's binary formats write with. Decoding reads
+//! borrowed slices (`hydra_core::artifact::Reader`), so no `Buf` is needed.
 
 /// Append-only byte writer.
 pub trait BufMut {
@@ -80,12 +48,9 @@ impl BytesMut {
         }
     }
 
-    /// Freeze into an immutable reader.
+    /// Freeze into an immutable buffer.
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data,
-            pos: 0,
-        }
+        Bytes { data: self.data }
     }
 }
 
@@ -95,11 +60,31 @@ impl BufMut for BytesMut {
     }
 }
 
-/// Immutable byte buffer with an internal read cursor.
+impl std::ops::Deref for BytesMut {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+impl std::ops::DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+}
+
+impl From<BytesMut> for Vec<u8> {
+    /// The written bytes, without a copy.
+    fn from(buf: BytesMut) -> Vec<u8> {
+        buf.data
+    }
+}
+
+/// Immutable byte buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bytes {
     data: Vec<u8>,
-    pos: usize,
 }
 
 impl Bytes {
@@ -107,7 +92,6 @@ impl Bytes {
     pub fn from_static(data: &'static [u8]) -> Self {
         Bytes {
             data: data.to_vec(),
-            pos: 0,
         }
     }
 
@@ -130,27 +114,13 @@ impl Bytes {
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         Bytes {
             data: self.data[range].to_vec(),
-            pos: 0,
         }
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Bytes { data, pos: 0 }
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take_bytes(&mut self, n: usize) -> &[u8] {
-        assert!(self.remaining() >= n, "bytes shim: read past end");
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        s
+        Bytes { data }
     }
 }
 
@@ -159,21 +129,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_all_widths() {
+    fn writes_every_width_little_endian() {
         let mut w = BytesMut::with_capacity(8);
         w.put_u16_le(0xBEEF);
         w.put_u32_le(0xDEAD_BEEF);
         w.put_u64_le(u64::MAX - 3);
         w.put_i64_le(-42);
         w.put_f64_le(0.125);
-        let mut r = w.freeze();
-        assert_eq!(r.remaining(), 2 + 4 + 8 + 8 + 8);
-        assert_eq!(r.get_u16_le(), 0xBEEF);
-        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64_le(), u64::MAX - 3);
-        assert_eq!(r.get_i64_le(), -42);
-        assert_eq!(r.get_f64_le(), 0.125);
-        assert_eq!(r.remaining(), 0);
+        w[0] = 0xAA;
+        let mut want = vec![0xAA, 0xBE];
+        want.extend(0xDEAD_BEEFu32.to_le_bytes());
+        want.extend((u64::MAX - 3).to_le_bytes());
+        want.extend((-42i64).to_le_bytes());
+        want.extend(0.125f64.to_le_bytes());
+        assert_eq!(w.clone().freeze().to_vec(), want);
+        assert_eq!(Vec::from(w), want);
     }
 
     #[test]
